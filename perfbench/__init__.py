@@ -1,0 +1,1 @@
+"""The repository benchmark; the entry point is ``perfbench/run.py``."""
