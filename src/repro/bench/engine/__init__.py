@@ -1,6 +1,6 @@
 """Declarative experiment engine: specs, shared artifacts, scheduling.
 
-The engine replaces the old call-each-other experiment chain with three
+The engine replaces the old call-each-other experiment chain with these
 pieces:
 
 - :class:`ExperimentSpec` — per-experiment metadata (id, title, seedless
@@ -15,9 +15,16 @@ pieces:
   cascade-skipping dependents), resumes interrupted runs from a prior
   manifest, and emits a :class:`RunManifest` recording wall times, cache
   traffic and per-experiment statuses;
+- :func:`run_sharded_campaign` — the same machinery over the seed-addressed
+  shards of a ``--scale`` campaign, folding cells into exact totals, with
+  a write-ahead journal and graceful drain;
+- :mod:`~repro.bench.engine.runner` — the one supervised task loop both of
+  those drive: inline, thread or process execution, retries, keep-going,
+  worker-crash supervision and the heartbeat watchdog;
 - :mod:`~repro.bench.engine.faults` — a deterministic fault-injection
-  harness (fail-on-attempt-K, hang-for-N-seconds, corrupt-artifact-bytes)
-  the test suite uses to exercise every failure path on both executors.
+  harness (fail-on-attempt-K, hang-for-N-seconds, kill-the-worker,
+  corrupt-artifact-bytes) the test suite uses to exercise every failure
+  path on both executors.
 
 Serial and parallel runs at the same seed produce byte-identical rendered
 reports; the manifest is how you check that the expensive artifacts were
@@ -45,7 +52,6 @@ from repro.bench.engine.manifest import (
     FailureRecord,
     RunManifest,
 )
-from repro.bench.engine.process import ProcessOutcome, execute_in_process
 from repro.bench.engine.shards import (
     SHARD_MANIFEST_SCHEMA,
     SHARD_STATUSES,
@@ -91,8 +97,6 @@ __all__ = [
     "EngineRun",
     "ErrorPolicy",
     "EXECUTORS",
-    "ProcessOutcome",
-    "execute_in_process",
     "SHARD_MANIFEST_SCHEMA",
     "SHARD_STATUSES",
     "ShardedCampaignRun",

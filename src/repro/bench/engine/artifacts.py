@@ -172,23 +172,13 @@ class ArtifactStore:
         """Note a request that bypassed the cache (unkeyable parameters)."""
         self._record(key, "uncached", requester)
 
-    def peek(self, key: ArtifactKey) -> Any:
-        """The cached value for ``key`` without recording a cache event.
-
-        For engine bookkeeping (collecting already-computed results), so
-        manifest and metrics totals reflect experiment work only.  Raises
-        ``KeyError`` when the artifact has not been computed.
-        """
-        with self._master:
-            return self._values[key]
-
     def put(self, key: ArtifactKey, value: Any) -> None:
         """Seed the in-memory tier with an externally computed value.
 
         No cache event is recorded: the computation happened elsewhere
         (a worker process, a prior run) and is already attributed there.
-        A later :meth:`peek` or :meth:`get_or_compute` for ``key`` finds
-        the value without recomputing.
+        A later :meth:`get_or_compute` for ``key`` finds the value without
+        recomputing.
         """
         with self._master:
             self._values[key] = value

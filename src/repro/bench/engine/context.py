@@ -258,26 +258,6 @@ class RunContext:
             key, compute, requester=self.experiment_id
         )
 
-    def experiment_result(
-        self, experiment_id: str, **params: Any
-    ) -> ExperimentResult:
-        """Like :meth:`experiment`, but an already-computed result comes back
-        without recording a cache event.
-
-        The scheduler collects results through this after the run, so the
-        manifest and the metrics counters reflect experiment work only —
-        not the engine's own bookkeeping lookups.
-        """
-        spec = get_spec(experiment_id)
-        passed = {k: v for k, v in params.items() if v is not None}
-        key = self._experiment_key(spec, passed)
-        if key is not None:
-            try:
-                return self.store.peek(key)
-            except KeyError:
-                pass
-        return self.experiment(experiment_id, **params)
-
 
 def ensure_context(
     context: RunContext | None, seed: int = DEFAULT_SEED

@@ -13,14 +13,16 @@ executor without any real flakiness:
   ``retries >= K`` recovers and ``retries < K`` terminally fails, by
   construction rather than by chance;
 - **hang-for-N-seconds** — :class:`FaultSpec.hang_seconds` sleeps before
-  the experiment body runs, long enough to trip a scheduler ``timeout``;
+  the experiment body runs, long enough to trip a run's ``timeout``;
 - **corrupt-artifact-bytes** — :func:`corrupt_file` truncates or
   overwrites an on-disk cache file, exercising the store's
   quarantine-and-recompute path;
 - **kill-the-worker** — :class:`FaultSpec.kill_attempts` makes the task
   ``os._exit`` mid-attempt, simulating a segfaulting tool process; the
-  sharded runner's supervision must rebuild the pool and re-dispatch
-  (and quarantine the shard when the kills never stop);
+  runner's supervision must rebuild the pool and re-dispatch (and
+  quarantine the experiment or shard when the kills never stop).  Kill
+  faults require the process executor: on threads the task would kill
+  the parent itself;
 - **parent-side chaos** — a fault addressed to :data:`PARENT_FAULT_ID`
   is applied by the *campaign parent*, not a worker: ``kill=K`` SIGKILLs
   the parent after K folded shards (exercising ``--resume`` journal
@@ -29,12 +31,13 @@ executor without any real flakiness:
 - **torn-journal-tail** — :func:`tear_file` truncates trailing bytes,
   simulating a crash mid-append to the write-ahead journal.
 
-The injection point is the scheduler's per-attempt execution hook (thread
-executor) and :func:`~repro.bench.engine.process.execute_in_process`
-(process executor); a :class:`FaultSpec` is a frozen dataclass of
-primitives, so it pickles across the process boundary unchanged.  Because
-the attempt number is passed in by the scheduler, fault decisions are pure
-functions — no hidden counters that could drift between executors.
+The injection point is the start of each task attempt — the experiment
+and shard bodies, which run alike on the calling thread, a pool thread or
+a worker process (:mod:`repro.bench.engine.runner`); a :class:`FaultSpec`
+is a frozen dataclass of primitives, so it pickles across the process
+boundary unchanged.  Because the attempt number is passed in by the
+runner, fault decisions are pure functions — no hidden counters that
+could drift between executors.
 
 :class:`InjectedFault` deliberately derives from ``RuntimeError``, not
 :class:`~repro.errors.ReproError`: it stands in for an *arbitrary*

@@ -1,16 +1,16 @@
 """Dependency-aware, fault-tolerant experiment scheduler.
 
 Orders the requested experiments topologically over their declared
-``depends_on`` edges and runs them — serially in canonical order, or in
-parallel with :mod:`concurrent.futures` when ``jobs > 1``.  Two parallel
-executors are available: ``thread`` (the default) shares one in-memory
-artifact store across a :class:`~concurrent.futures.ThreadPoolExecutor`,
-while ``process`` dispatches to worker processes (see
-:mod:`repro.bench.engine.process`) for CPU-bound speedups past the GIL.
-Every stochastic component downstream derives its streams from explicit
-seeds (see :mod:`repro._rng`), and shared artifacts are deduplicated under
-per-key locks, so a parallel run produces byte-identical rendered reports
-to a serial run at the same seed; only the wall clock changes.
+``depends_on`` edges and runs them through the engine's one task loop
+(:class:`~repro.bench.engine.runner.TaskRun`) — inline at ``jobs=1``,
+concurrently when ``jobs > 1``.  Two executors are available: ``thread``
+(the default) shares one in-memory artifact store across a thread pool,
+while ``process`` runs :func:`_execute` in worker processes, against
+each worker's own store, for CPU-bound speedups past the GIL.  Every
+stochastic component downstream derives its streams from explicit seeds
+(see :mod:`repro._rng`), and shared artifacts are deduplicated under
+per-key locks, so a parallel run produces byte-identical rendered
+reports to a serial run at the same seed; only the wall clock changes.
 
 Fault tolerance (the :class:`ErrorPolicy`): real campaigns are long and
 failure-prone, so a failing experiment no longer aborts the suite by
@@ -23,12 +23,17 @@ default semantics alone —
   :class:`~repro.bench.engine.manifest.FailureRecord` in the manifest,
   cascade-**skips** its in-set dependents (with a recorded reason), and
   lets every independent experiment run to completion;
-- ``timeout=SECONDS`` bounds each attempt's wall time; an over-budget
-  experiment is recorded with status ``timeout`` and its future abandoned
-  (threads cannot be killed — the stale result, when it eventually
-  arrives, is discarded rather than recorded);
+- ``timeout=SECONDS`` arms the heartbeat watchdog: an experiment beats
+  once at attempt start, so an attempt still running ``timeout`` seconds
+  later is recorded with status ``timeout`` and abandoned (threads cannot
+  be killed — the stale result, when it eventually arrives, is discarded
+  rather than recorded);
+- on the process executor a dead worker is supervised: the pool is
+  rebuilt and the crashed experiments re-dispatched one at a time, and
+  an experiment that keeps killing its workers is recorded ``failed``
+  with a :class:`~repro.errors.WorkerCrashError`;
 - without ``keep_going``, the first terminal failure aborts the run: not-
-  yet-started futures are cancelled, in-flight ones drained, and a
+  yet-started tasks are cancelled, in-flight ones drained, and a
   :class:`~repro.errors.ExperimentFailedError` (or
   :class:`~repro.errors.ExperimentTimeoutError`) is raised with the
   original exception as ``__cause__``.
@@ -42,7 +47,8 @@ Observability: the whole run executes under an ``engine.run`` span, each
 experiment under an ``experiment.<id>`` span (retry attempts additionally
 under ``experiment.retry``), and the scheduler feeds the
 ``engine.experiments.*`` counters — ``scheduled`` / ``completed`` /
-``failed`` / ``retried`` / ``skipped`` / ``timeout`` — plus the
+``failed`` / ``retried`` / ``skipped`` / ``timeout``, plus
+``redispatched`` / ``quarantined`` under worker supervision — and the
 ``engine.experiment.seconds`` histogram; when tracing is on, the span
 summary lands in the manifest's ``extra["observability"]``.
 """
@@ -50,35 +56,18 @@ summary lands in the manifest's ``extra["observability"]``.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.bench.engine.artifacts import ArtifactStore
 from repro.bench.engine.context import RunContext
-from repro.bench.engine.faults import FaultPlan
-from repro.bench.engine.transport import cached_process_pool, evict_process_pool
-from repro.bench.engine.manifest import (
-    ExperimentRunRecord,
-    FailureRecord,
-    RunManifest,
-)
-from repro.bench.engine.process import ProcessOutcome, execute_in_process
+from repro.bench.engine.faults import FaultPlan, FaultSpec
+from repro.bench.engine.manifest import ExperimentRunRecord, RunManifest
+from repro.bench.engine.runner import EXECUTORS, TaskRun, check_policy
 from repro.bench.engine.spec import ExperimentSpec, get_spec
 from repro.bench.result import DEFAULT_SEED, ExperimentResult
-from repro.errors import (
-    ConfigurationError,
-    EngineError,
-    ExperimentFailedError,
-    ExperimentTimeoutError,
-)
+from repro.errors import ConfigurationError
 from repro.obs import Observability
 
 __all__ = [
@@ -88,9 +77,6 @@ __all__ = [
     "run_experiments",
     "topological_order",
 ]
-
-#: Valid values for ``run_experiments(..., executor=...)`` / ``--executor``.
-EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -102,17 +88,10 @@ class ErrorPolicy:
     retries: int = 0
     """Extra attempts per experiment after the first failure."""
     timeout: float | None = None
-    """Per-attempt wall-clock budget in seconds (``None`` = unbounded)."""
+    """Per-attempt heartbeat budget in seconds (``None`` = unbounded)."""
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {self.retries}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive, got {self.timeout}"
-            )
+        check_policy(retries=self.retries, timeout=self.timeout)
 
 
 @dataclass(frozen=True)
@@ -162,17 +141,26 @@ def topological_order(ids: Sequence[str]) -> list[ExperimentSpec]:
 
 
 def _execute(
-    spec: ExperimentSpec,
-    context: RunContext,
+    store: ArtifactStore,
+    beat: Callable[[], None] | None,
+    seed: int,
+    experiment_id: str,
     attempt: int = 1,
-    faults: FaultPlan | None = None,
-) -> ExperimentRunRecord:
-    """Run one attempt of one experiment; return its manifest record.
+    fault: FaultSpec | None = None,
+) -> tuple[ExperimentRunRecord, ExperimentResult]:
+    """Run one attempt of one experiment; return its record and result.
 
-    Lifecycle counters are the *scheduler's* job — a record returned here
-    only counts once the scheduler accepts it, so an abandoned (timed-out)
-    attempt that eventually finishes cannot skew the totals.
+    The task body of every executor: it runs against the run's store on
+    the calling thread or a pool thread, and against the worker's own
+    store in a worker process — which is why the experiment is addressed
+    by id (specs carry the driver callable) and re-resolved through the
+    registry.  Lifecycle counters are the *runner's* job — a record
+    returned here only counts once the runner accepts it, so an abandoned
+    (timed-out) attempt that eventually finishes cannot skew the totals.
+    ``beat`` (when the watchdog is armed) is called once at attempt start.
     """
+    spec = get_spec(experiment_id)
+    context = RunContext(seed=seed, store=store)
     obs = context.obs
     child = context.for_experiment(spec.experiment_id)
     already = len(context.store.events_for(spec.experiment_id))
@@ -185,22 +173,24 @@ def _execute(
         else nullcontext()
     )
     started = time.perf_counter()
+    if beat is not None:
+        beat()
     with retry_span:
         with obs.tracer.span(
             f"experiment.{spec.experiment_id}",
             title=spec.title,
             seed=None if spec.seedless else context.seed,
         ):
-            if faults is not None:
-                faults.apply(spec.experiment_id, attempt)
+            if fault is not None:
+                fault.apply(attempt)
             if obs.profiler is not None:
                 with obs.profiler.profile(spec.experiment_id):
-                    child.experiment(spec.experiment_id, **params)
+                    result = child.experiment(spec.experiment_id, **params)
             else:
-                child.experiment(spec.experiment_id, **params)
+                result = child.experiment(spec.experiment_id, **params)
     elapsed = time.perf_counter() - started
     events = context.store.events_for(spec.experiment_id)[already:]
-    return ExperimentRunRecord(
+    record = ExperimentRunRecord(
         experiment_id=spec.experiment_id,
         title=spec.title,
         seed=None if spec.seedless else context.seed,
@@ -208,6 +198,72 @@ def _execute(
         artifacts=tuple(events),
         attempts=attempt,
     )
+    return record, result
+
+
+class _ExperimentRun(TaskRun):
+    """Experiments on the engine's task loop: keyed by id, with in-set
+    dependency edges; workers' results are seeded into the parent store."""
+
+    noun = "experiment"
+    prefix = "engine.experiments"
+    seconds_histogram = "engine.experiment.seconds"
+
+    def __init__(
+        self, ordered: Sequence[ExperimentSpec], context: RunContext, **policy
+    ) -> None:
+        self.specs = {spec.experiment_id: spec for spec in ordered}
+        self.context = context
+        self.results: dict[str, ExperimentResult] = {}
+        store = context.store
+        cache_dir = str(store.cache_dir) if store.cache_dir is not None else None
+        super().__init__(
+            list(self.specs),
+            store,
+            context.seed,
+            ("experiments", context.seed, cache_dir),
+            deps={
+                key: tuple(dep for dep in spec.depends_on if dep in self.specs)
+                for key, spec in self.specs.items()
+            },
+            **policy,
+        )
+
+    def fault_ids(self, key: str) -> tuple[str, ...]:
+        return (key,)
+
+    def worker_call(self, key, attempt, fault, slot):
+        return (_execute, self.seed, key, attempt, fault)
+
+    def accept(self, key, attempt, value):
+        record, result = value
+        self.results[key] = result
+        if self.executor == "process":
+            # Computed in a worker's store; seed the parent's so a warm
+            # follow-up run on it finds the result.
+            spec = self.specs[key]
+            params = {} if spec.seedless else {"seed": self.seed}
+            store_key = self.context._experiment_key(spec, params)
+            if store_key is not None:
+                self.store.put(store_key, result)
+        return record
+
+    def unfinished_record(self, key, status, failure=None, skip_reason=None):
+        spec = self.specs[key]
+        return ExperimentRunRecord(
+            experiment_id=key,
+            title=spec.title,
+            seed=None if spec.seedless else self.seed,
+            wall_seconds=0.0,
+            artifacts=(),
+            # run-manifest@2 has no "quarantined" status: an experiment
+            # that kept killing its workers is failed, its WorkerCrashError
+            # on file.
+            status="failed" if status == "quarantined" else status,
+            attempts=failure.attempts if failure is not None else 0,
+            failure=failure,
+            skip_reason=skip_reason,
+        )
 
 
 def run_experiments(
@@ -229,10 +285,11 @@ def run_experiments(
     ``jobs > 1`` executes independent experiments concurrently — in threads
     by default, or in worker processes with ``executor="process"`` (which
     always uses a :class:`~concurrent.futures.ProcessPoolExecutor`, even at
-    ``jobs=1``).  Determinism is unaffected: every experiment receives the
-    same explicit seed either way (retries included), and shared artifacts
-    are computed exactly once under per-key locks regardless of arrival
-    order.
+    ``jobs=1``, and supervises it: a dead worker's experiments are
+    re-dispatched on a rebuilt pool).  Determinism is unaffected: every
+    experiment receives the same explicit seed either way (retries
+    included), and shared artifacts are computed exactly once under
+    per-key locks regardless of arrival order.
 
     ``keep_going`` / ``retries`` / ``timeout`` form the error policy (see
     :class:`ErrorPolicy` and the module docstring).  ``faults`` installs a
@@ -252,13 +309,10 @@ def run_experiments(
     bundle; profiling is thread-executor-only, because cProfile sessions
     cannot be merged across processes.
     """
-    policy = ErrorPolicy(keep_going=keep_going, retries=retries, timeout=timeout)
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if executor not in EXECUTORS:
-        raise ConfigurationError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
+    check_policy(
+        retries=retries, timeout=timeout, jobs=jobs, executor=executor,
+        faults=faults,
+    )
 
     carried: dict[str, ExperimentRunRecord] = {}
     if resume_from is not None:
@@ -288,7 +342,6 @@ def run_experiments(
         )
     context = RunContext(seed=seed, store=store)
 
-    records: dict[str, ExperimentRunRecord] = {}
     run_started = time.perf_counter()
     with obs.tracer.span(
         "engine.run",
@@ -297,33 +350,24 @@ def run_experiments(
         experiments=len(ordered),
         executor=executor,
     ):
-        if not ordered:
-            pass
-        elif (
-            executor == "thread"
-            and policy.timeout is None
-            and (jobs == 1 or len(ordered) == 1)
-        ):
-            records.update(_run_serial(ordered, context, policy, faults))
-        else:
-            records.update(
-                _run_pooled(ordered, context, jobs, executor, policy, faults)
-            )
+        run = _ExperimentRun(
+            ordered,
+            context,
+            jobs=jobs,
+            executor=executor,
+            keep_going=keep_going,
+            retries=retries,
+            timeout=timeout,
+            faults=faults,
+        )
+        records = run.execute()
     wall = time.perf_counter() - run_started
     obs.metrics.inc("engine.runs")
     obs.metrics.set_gauge("engine.wall_seconds", wall)
     obs.metrics.set_gauge("engine.jobs", jobs)
 
-    # Result collection peeks at the store without recording cache events,
-    # so manifest and metrics totals reflect experiment work only.  Only
-    # completed experiments of *this* run have results to collect.
-    results = {
-        key: context.for_experiment(key).experiment_result(
-            key, **({} if get_spec(key).seedless else {"seed": seed})
-        )
-        for key in requested
-        if key in records and records[key].completed
-    }
+    # Only completed experiments of *this* run have results.
+    results = {key: run.results[key] for key in requested if key in run.results}
     manifest_records = tuple(
         carried[key] if key in carried else records[key] for key in requested
     )
@@ -341,359 +385,3 @@ def run_experiments(
         extra=extra,
     )
     return EngineRun(results=results, manifest=manifest, store=store)
-
-
-# ---------------------------------------------------------------------------
-# Shared failure bookkeeping
-# ---------------------------------------------------------------------------
-def _note_completed(obs: Observability, record: ExperimentRunRecord) -> None:
-    obs.metrics.inc("engine.experiments.completed")
-    obs.metrics.observe("engine.experiment.seconds", record.wall_seconds)
-
-
-def _failed_record(
-    spec: ExperimentSpec, seed: int, failure: FailureRecord, status: str
-) -> ExperimentRunRecord:
-    return ExperimentRunRecord(
-        experiment_id=spec.experiment_id,
-        title=spec.title,
-        seed=None if spec.seedless else seed,
-        wall_seconds=0.0,
-        artifacts=(),
-        status=status,
-        attempts=failure.attempts,
-        failure=failure,
-    )
-
-
-def _skip_record(
-    spec: ExperimentSpec, seed: int, dep: str, dep_status: str
-) -> ExperimentRunRecord:
-    return ExperimentRunRecord(
-        experiment_id=spec.experiment_id,
-        title=spec.title,
-        seed=None if spec.seedless else seed,
-        wall_seconds=0.0,
-        artifacts=(),
-        status="skipped",
-        attempts=0,
-        skip_reason=f"dependency {dep} {dep_status}",
-    )
-
-
-def _fatal_error(key: str, error: BaseException, attempts: int) -> EngineError:
-    fatal = ExperimentFailedError(
-        f"experiment {key} failed after {attempts} attempt(s): "
-        f"{type(error).__name__}: {error}",
-        experiment_id=key,
-        attempts=attempts,
-    )
-    fatal.__cause__ = error
-    return fatal
-
-
-# ---------------------------------------------------------------------------
-# Serial fast path (thread semantics, no pool, no timeout)
-# ---------------------------------------------------------------------------
-def _run_serial(
-    ordered: Sequence[ExperimentSpec],
-    context: RunContext,
-    policy: ErrorPolicy,
-    faults: FaultPlan | None,
-) -> dict[str, ExperimentRunRecord]:
-    obs = context.obs
-    in_set = {spec.experiment_id for spec in ordered}
-    failed_like: dict[str, str] = {}  # id -> terminal non-completed status
-    records: dict[str, ExperimentRunRecord] = {}
-    for spec in ordered:
-        key = spec.experiment_id
-        bad = [
-            dep
-            for dep in spec.depends_on
-            if dep in in_set and dep in failed_like
-        ]
-        if bad:
-            records[key] = _skip_record(
-                spec, context.seed, bad[0], failed_like[bad[0]]
-            )
-            failed_like[key] = "skipped"
-            obs.metrics.inc("engine.experiments.skipped")
-            continue
-        obs.metrics.inc("engine.experiments.scheduled")
-        attempt = 1
-        while True:
-            try:
-                record = _execute(spec, context, attempt=attempt, faults=faults)
-            except Exception as error:
-                if attempt <= policy.retries:
-                    obs.metrics.inc("engine.experiments.retried")
-                    attempt += 1
-                    continue
-                obs.metrics.inc("engine.experiments.failed")
-                if not policy.keep_going:
-                    raise _fatal_error(key, error, attempt) from error
-                failure = FailureRecord.from_exception(error, attempts=attempt)
-                records[key] = _failed_record(
-                    spec, context.seed, failure, "failed"
-                )
-                failed_like[key] = "failed"
-                break
-            _note_completed(obs, record)
-            records[key] = record
-            break
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Pooled path (thread or process executor)
-# ---------------------------------------------------------------------------
-def _run_pooled(
-    ordered: Sequence[ExperimentSpec],
-    context: RunContext,
-    jobs: int,
-    executor: str,
-    policy: ErrorPolicy,
-    faults: FaultPlan | None,
-) -> dict[str, ExperimentRunRecord]:
-    """Submit experiments as their in-set dependencies complete.
-
-    Workers compute; the parent merges and judges.  Submission is
-    throttled to the number of free worker slots so a per-attempt
-    ``timeout`` measures execution time, not queue time.  A future that
-    outlives its deadline is *abandoned*: its slot stays occupied until it
-    actually finishes (threads cannot be killed), but its eventual result
-    is discarded and its dependents are cascade-skipped immediately.
-
-    On a fatal error (first terminal failure without ``keep_going``),
-    not-yet-started futures are cancelled and in-flight ones drained
-    before the exception is re-raised — a fast-fail run neither leaks
-    workers nor interleaves half-finished store writes with the caller's
-    error handling.
-    """
-    store = context.store
-    obs = store.obs
-    cache_dir = str(store.cache_dir) if store.cache_dir is not None else None
-    trace = obs.tracer.enabled
-    in_set = {spec.experiment_id for spec in ordered}
-    pending = {
-        spec.experiment_id: {dep for dep in spec.depends_on if dep in in_set}
-        for spec in ordered
-    }
-    specs = {spec.experiment_id: spec for spec in ordered}
-    records: dict[str, ExperimentRunRecord] = {}
-    failed_like: dict[str, str] = {}
-    # Process pools are cached across run_experiments calls (workers keep
-    # their per-process stores warm); thread pools are cheap and per-call.
-    pool_key = ("experiments", context.seed, cache_dir)
-    if executor == "process":
-        pool = cached_process_pool(pool_key, max_workers=jobs)
-    else:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-    broken = False
-    # future -> (experiment id, attempt, monotonic deadline or None)
-    active: dict[Future, tuple[str, int, float | None]] = {}
-    abandoned: set[Future] = set()
-    try:
-
-        def submit(key: str, attempt: int) -> None:
-            deadline = (
-                None
-                if policy.timeout is None
-                else time.monotonic() + policy.timeout
-            )
-            if executor == "process":
-                fault = (
-                    faults.for_experiment(key) if faults is not None else None
-                )
-                future = pool.submit(
-                    execute_in_process,
-                    key,
-                    context.seed,
-                    cache_dir,
-                    trace,
-                    attempt,
-                    fault,
-                )
-            else:
-                future = pool.submit(
-                    _execute, specs[key], context, attempt, faults
-                )
-            active[future] = (key, attempt, deadline)
-
-        def cascade_skip() -> None:
-            changed = True
-            while changed:
-                changed = False
-                for key in list(pending):
-                    bad = [dep for dep in pending[key] if dep in failed_like]
-                    if bad:
-                        del pending[key]
-                        records[key] = _skip_record(
-                            specs[key], context.seed, bad[0], failed_like[bad[0]]
-                        )
-                        failed_like[key] = "skipped"
-                        obs.metrics.inc("engine.experiments.skipped")
-                        changed = True
-
-        def submit_ready() -> None:
-            while len(active) + len(abandoned) < jobs:
-                ready = sorted(
-                    (key for key, deps in pending.items() if not deps),
-                    key=lambda key: specs[key].index,
-                )
-                if not ready:
-                    return
-                key = ready[0]
-                del pending[key]
-                obs.metrics.inc("engine.experiments.scheduled")
-                submit(key, 1)
-
-        def drain_and_raise(fatal: EngineError) -> None:
-            # Cancel whatever never started; drain whatever is running so
-            # no worker outlives the run or races a store write against
-            # the caller's error handling.
-            still_running = [
-                future
-                for future in (*active, *abandoned)
-                if not future.cancel()
-            ]
-            if still_running:
-                wait(still_running)
-            raise fatal
-
-        submit_ready()
-        while active or (pending and abandoned):
-            now = time.monotonic()
-            deadlines = [
-                deadline
-                for (_, _, deadline) in active.values()
-                if deadline is not None
-            ]
-            wait_timeout = (
-                max(0.0, min(deadlines) - now) if deadlines else None
-            )
-            done, _ = wait(
-                set(active) | abandoned,
-                timeout=wait_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in done:
-                if future in abandoned:
-                    # A timed-out straggler finally finished; its result
-                    # was already recorded as a timeout — discard.
-                    abandoned.discard(future)
-                    continue
-                key, attempt, _ = active.pop(future)
-                error = future.exception()
-                if error is None:
-                    if executor == "process":
-                        records[key] = _merge_outcome(
-                            specs[key], context, future.result(), attempt
-                        )
-                    else:
-                        record = future.result()
-                        _note_completed(obs, record)
-                        records[key] = record
-                    for deps in pending.values():
-                        deps.discard(key)
-                elif isinstance(error, BrokenExecutor):
-                    # A dead worker fails every sibling future the same
-                    # way; retrying against the broken pool (or caching it
-                    # for the next run) only spreads the poison.
-                    broken = True
-                    evict_process_pool(pool_key)
-                    obs.metrics.inc("engine.workers.crashed")
-                    obs.metrics.inc("engine.experiments.failed")
-                    drain_and_raise(_fatal_error(key, error, attempt))
-                elif isinstance(error, Exception) and attempt <= policy.retries:
-                    obs.metrics.inc("engine.experiments.retried")
-                    submit(key, attempt + 1)
-                else:
-                    obs.metrics.inc("engine.experiments.failed")
-                    if not policy.keep_going or not isinstance(
-                        error, Exception
-                    ):
-                        drain_and_raise(_fatal_error(key, error, attempt))
-                    failure = FailureRecord.from_exception(
-                        error, attempts=attempt
-                    )
-                    records[key] = _failed_record(
-                        specs[key], context.seed, failure, "failed"
-                    )
-                    failed_like[key] = "failed"
-            now = time.monotonic()
-            for future, (key, attempt, deadline) in list(active.items()):
-                if deadline is None or future.done() or now < deadline:
-                    continue
-                del active[future]
-                if not future.cancel():
-                    abandoned.add(future)
-                obs.metrics.inc("engine.experiments.timeout")
-                failure = FailureRecord(
-                    error_type="ExperimentTimeoutError",
-                    message=(
-                        f"attempt {attempt} exceeded the "
-                        f"{policy.timeout}s timeout"
-                    ),
-                    traceback="",
-                    attempts=attempt,
-                )
-                if not policy.keep_going:
-                    drain_and_raise(
-                        ExperimentTimeoutError(
-                            f"experiment {key} exceeded the "
-                            f"{policy.timeout}s timeout "
-                            f"(attempt {attempt})",
-                            experiment_id=key,
-                            timeout=policy.timeout,
-                        )
-                    )
-                records[key] = _failed_record(
-                    specs[key], context.seed, failure, "timeout"
-                )
-                failed_like[key] = "timeout"
-            cascade_skip()
-            submit_ready()
-    finally:
-        # A timed-out worker cannot be killed, and the caller must not
-        # wait out the hang a timeout was meant to bound: when futures
-        # were abandoned, shut down without waiting (stragglers are
-        # joined at interpreter exit).  A clean or drained run has no
-        # live futures, so waiting there is instant.
-        if executor != "process":
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-        elif not broken and (abandoned or active):
-            # The cached pool must not hand the next run a worker that is
-            # wedged in (or mid-way through) this run's tasks.
-            evict_process_pool(pool_key)
-    return records
-
-
-def _merge_outcome(
-    spec: ExperimentSpec,
-    context: RunContext,
-    outcome: ProcessOutcome,
-    attempt: int = 1,
-) -> ExperimentRunRecord:
-    """Fold one worker outcome into the parent run's store and bundle."""
-    obs = context.obs
-    params = {} if spec.seedless else {"seed": context.seed}
-    key = context._experiment_key(spec, params)
-    if key is not None:
-        context.store.put(key, outcome.result)
-    obs.metrics.merge_dict(outcome.metrics_dump)
-    obs.metrics.inc("engine.experiments.completed")
-    obs.metrics.observe("engine.experiment.seconds", outcome.wall_seconds)
-    if obs.tracer.enabled and outcome.spans:
-        obs.tracer.ingest(
-            outcome.spans,
-            offset_seconds=outcome.trace_epoch_unix - obs.tracer.epoch_unix,
-        )
-    return ExperimentRunRecord(
-        experiment_id=spec.experiment_id,
-        title=spec.title,
-        seed=outcome.seed,
-        wall_seconds=outcome.wall_seconds,
-        artifacts=outcome.events,
-        attempts=attempt,
-    )

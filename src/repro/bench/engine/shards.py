@@ -9,13 +9,15 @@ workload, evaluates the tool suite, and returns a
 discards the shard, so peak memory is bounded by ``jobs`` shards, never by
 the corpus.
 
-Engine semantics carry over wholesale:
+Shards run through the engine's one task loop
+(:class:`~repro.bench.engine.runner.TaskRun`, the same loop experiments
+use), so engine semantics carry over wholesale:
 
-- **executors** — shards run serially, in a thread pool, or in worker
-  processes (``executor="process"``), with per-worker persistent artifact
-  stores exactly like :mod:`repro.bench.engine.process`; process pools
-  are cached across campaigns (:mod:`repro.bench.engine.transport`), so
-  follow-up runs find warm workers;
+- **executors** — shards run inline, in a thread pool, or in worker
+  processes (``executor="process"``) that keep persistent artifact
+  stores; process pools are cached across campaigns
+  (:mod:`repro.bench.engine.transport`), so follow-up runs find warm
+  workers;
 - **transport** — process workers ship their cells home either as a
   pickled outcome (``transport="pickle"``) or as a flat int64 vector
   written into a shared-memory :class:`~repro.bench.engine.transport.
@@ -66,25 +68,23 @@ import os
 import signal as signal_module
 import time
 from collections.abc import Callable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.bench.engine.artifacts import ArtifactCodec, ArtifactKey, ArtifactStore
 from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
-from repro.bench.engine.supervise import HeartbeatBoard, ShutdownSignal
+from repro.bench.engine.runner import (
+    DEFAULT_MAX_POOL_REBUILDS,
+    DEFAULT_QUARANTINE_AFTER,
+    TaskRun,
+    check_policy,
+    worker_cached,
+)
+from repro.bench.engine.supervise import ShutdownSignal
 from repro.bench.engine.transport import (
     DEFAULT_CHUNK,
     CellRing,
-    cached_process_pool,
-    evict_process_pool,
     reclaim_leaked_segments,
     resolve_transport,
 )
@@ -96,14 +96,8 @@ from repro.bench.streaming import (
     StreamingCampaignResult,
     evaluate_shard,
 )
-from repro.errors import (
-    ConfigurationError,
-    EngineError,
-    ExperimentFailedError,
-    ExperimentTimeoutError,
-    WorkerCrashError,
-)
-from repro.obs import Observability, SpanRecord, Tracer
+from repro.errors import ConfigurationError
+from repro.obs import Observability
 from repro.tools.families import get_family, suite_for_ecosystem
 from repro.workload.ecosystems import DEFAULT_ECOSYSTEM, get_ecosystem
 from repro.workload.sharded import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
@@ -133,12 +127,6 @@ _ACCEPTED_SCHEMAS = ("repro/shard-run@1", SHARD_MANIFEST_SCHEMA)
 #: went silent past the heartbeat budget.
 SHARD_STATUSES = ("completed", "failed", "quarantined", "timeout")
 
-#: A shard that kills this many workers is quarantined as poisonous.
-DEFAULT_QUARANTINE_AFTER = 3
-
-#: The campaign aborts after this many process-pool rebuilds.
-DEFAULT_MAX_POOL_REBUILDS = 5
-
 
 def shard_fault_id(index: int) -> str:
     """The fault-plan id targeting shard ``index`` (``S000003`` for 3).
@@ -148,17 +136,6 @@ def shard_fault_id(index: int) -> str:
     syntax addresses shards without new parsing rules.
     """
     return f"S{index:06d}"
-
-
-def _fault_for_shard(faults: FaultPlan | None, index: int) -> FaultSpec | None:
-    """The fault targeting shard ``index``, accepting padded or bare ids."""
-    if faults is None:
-        return None
-    for candidate in (shard_fault_id(index), f"S{index}"):
-        fault = faults.for_experiment(candidate)
-        if fault is not None:
-            return fault
-    return None
 
 
 def _shard_cells_codec() -> ArtifactCodec:
@@ -425,26 +402,22 @@ class ShardedCampaignRun:
 
 
 # ---------------------------------------------------------------------------
-# Shard execution (shared by the serial, thread and process paths)
+# Shard execution (shared by the inline, thread and process paths)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ShardOutcome:
-    """Everything one worker-side shard sends back to the parent.
+    """One evaluated shard, as its task body returns it.
 
-    Under the shared-memory transport ``cells`` is ``None`` and ``slot``
-    names the :class:`~repro.bench.engine.transport.CellRing` slot the
-    worker wrote the flattened cells into; the parent rebuilds them with
-    :meth:`ShardCells.from_array`.
+    Under the shared-memory transport a worker returns ``cells`` as
+    ``None``, having written them flattened into its task's
+    :class:`~repro.bench.engine.transport.CellRing` slot; the parent
+    rebuilds them with :meth:`ShardCells.from_array`.
     """
 
     index: int
     n_units: int
     wall_seconds: float
     cells: ShardCells | None
-    metrics_dump: dict[str, Any] | None = None
-    spans: tuple[SpanRecord, ...] = ()
-    trace_epoch_unix: float = 0.0
-    slot: int | None = None
 
 
 def _evaluate_one(
@@ -521,46 +494,25 @@ class _WorkerContext:
     shard_size: int
     seed: int
     ecosystem: str
-    cache_dir: str | None
-    trace: bool
     families: tuple[str, ...]
     ring_name: str | None = None
     ring_slots: int = 0
     ring_slot_ints: int = 0
-    board_name: str | None = None
-    """Heartbeat-board segment name (set when ``--timeout`` arms the
-    watchdog on the process executor)."""
-    board_slots: int = 0
 
 
-#: Worker-process caches, all keyed by fields of the task's
-#: :class:`_WorkerContext` so one long-lived worker serves many campaigns:
-#: persistent artifact stores (the shard counterpart of
-#: ``process._WORKER_STORES``), reconstructed shard plans, built tool
-#: suites, and the attached cell ring.
-_WORKER_STORES: dict[tuple[int, str | None], ArtifactStore] = {}
+#: Worker-process caches keyed by fields of the task's
+#: :class:`_WorkerContext`, so one long-lived worker serves many
+#: campaigns: reconstructed shard plans, built tool suites, and the
+#: attached cell ring (the artifact store is the runner's, shared with
+#: experiments).
 _WORKER_PLANS: dict[tuple[int, int, int, str], ShardPlan] = {}
 _WORKER_SUITES: dict[tuple[str, int, tuple[str, ...]], list] = {}
 _WORKER_RING: Any | None = None
-_WORKER_BOARD: Any | None = None
-
-#: Bound on each per-worker cache; campaigns cycle through few distinct
-#: keys, so a tiny FIFO keeps reuse while bounding a long session.
-_WORKER_CACHE_SIZE = 4
-
-
-def _cache_bounded(cache: dict, key: Any, value: Any) -> Any:
-    cache[key] = value
-    while len(cache) > _WORKER_CACHE_SIZE:
-        cache.pop(next(iter(cache)))
-    return value
 
 
 def _worker_ring(ctx: _WorkerContext):
     """The attached cell ring for ``ctx``, (re)attaching on name change."""
     global _WORKER_RING
-    from repro.bench.engine.transport import CellRing
-
     if _WORKER_RING is not None and _WORKER_RING.name != ctx.ring_name:
         _WORKER_RING.close()
         _WORKER_RING = None
@@ -571,85 +523,44 @@ def _worker_ring(ctx: _WorkerContext):
     return _WORKER_RING
 
 
-def _worker_board(ctx: _WorkerContext):
-    """The attached heartbeat board for ``ctx``, re-attaching on change."""
-    global _WORKER_BOARD
-    if _WORKER_BOARD is not None and _WORKER_BOARD.name != ctx.board_name:
-        _WORKER_BOARD.close()
-        _WORKER_BOARD = None
-    if _WORKER_BOARD is None:
-        _WORKER_BOARD = HeartbeatBoard.attach(ctx.board_name, ctx.board_slots)
-    return _WORKER_BOARD
-
-
 def _evaluate_in_worker(
+    store: ArtifactStore,
+    beat: Callable[[], None] | None,
     ctx: _WorkerContext,
     index: int,
     attempt: int,
     fault: FaultSpec | None,
     slot: int | None,
-    hb_slot: int | None = None,
 ) -> _ShardOutcome:
-    """Worker-process task body: evaluate one shard, return a picklable
-    outcome carrying this task's metrics dump and spans for parent-side
-    merging (mirrors :func:`repro.bench.engine.process.execute_in_process`).
+    """Process-side body: evaluate one shard against the worker's store.
+
     Under the shared-memory transport (``slot`` given) the cells leave
-    through the ring and the returned outcome carries only the slot;
-    ``hb_slot`` names this task's heartbeat-board slot when the parent's
-    watchdog is armed.
+    through the ring instead of the returned outcome.
     """
-    plan_key = (ctx.scale, ctx.shard_size, ctx.seed, ctx.ecosystem)
-    plan = _WORKER_PLANS.get(plan_key)
-    if plan is None:
-        plan = _cache_bounded(
-            _WORKER_PLANS,
-            plan_key,
-            plan_shards(
-                scale=ctx.scale,
-                shard_size=ctx.shard_size,
-                seed=ctx.seed,
-                ecosystem=ctx.ecosystem,
-            ),
-        )
-    store_key = (ctx.seed, ctx.cache_dir)
-    store = _WORKER_STORES.get(store_key)
-    if store is None:
-        store = _cache_bounded(
-            _WORKER_STORES, store_key, ArtifactStore(cache_dir=ctx.cache_dir)
-        )
-    suite_key = (ctx.ecosystem, ctx.seed, ctx.families)
-    tools = _WORKER_SUITES.get(suite_key)
-    if tools is None:
-        tools = _cache_bounded(
-            _WORKER_SUITES,
-            suite_key,
-            suite_for_ecosystem(
-                ctx.ecosystem, seed=ctx.seed, families=ctx.families
-            ),
-        )
-    # A fresh bundle per task, so the parent merges without double counting.
-    obs = Observability(tracer=Tracer(enabled=ctx.trace))
-    store.obs = obs
-    beat = None
-    if hb_slot is not None and ctx.board_name is not None:
-        beat = _worker_board(ctx).beater(hb_slot)
+    plan = worker_cached(
+        _WORKER_PLANS,
+        (ctx.scale, ctx.shard_size, ctx.seed, ctx.ecosystem),
+        lambda: plan_shards(
+            scale=ctx.scale,
+            shard_size=ctx.shard_size,
+            seed=ctx.seed,
+            ecosystem=ctx.ecosystem,
+        ),
+    )
+    tools = worker_cached(
+        _WORKER_SUITES,
+        (ctx.ecosystem, ctx.seed, ctx.families),
+        lambda: suite_for_ecosystem(
+            ctx.ecosystem, seed=ctx.seed, families=ctx.families
+        ),
+    )
     outcome = _evaluate_one(
         plan, index, attempt, store, tools, ctx.families, fault, beat
     )
-    cells: ShardCells | None = outcome.cells
-    if slot is not None:
-        _worker_ring(ctx).write(slot, cells.to_array())
-        cells = None
-    return _ShardOutcome(
-        index=outcome.index,
-        n_units=outcome.n_units,
-        wall_seconds=outcome.wall_seconds,
-        cells=cells,
-        metrics_dump=obs.metrics.to_dict(),
-        spans=tuple(obs.tracer.spans),
-        trace_epoch_unix=obs.tracer.epoch_unix,
-        slot=slot,
-    )
+    if slot is None:
+        return outcome
+    _worker_ring(ctx).write(slot, outcome.cells.to_array())
+    return replace(outcome, cells=None)
 
 
 # ---------------------------------------------------------------------------
@@ -788,18 +699,12 @@ def run_sharded_campaign(
     times out shards whose worker goes *silent* for that many seconds —
     hung, not merely slow.
     """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if executor not in ("thread", "process"):
-        raise ConfigurationError(
-            f"executor must be one of ('thread', 'process'), got {executor!r}"
-        )
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
+    check_policy(
+        retries=retries, timeout=timeout, jobs=jobs, executor=executor,
+        faults=faults,
+    )
     if chunk < 1:
         raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError(f"timeout must be > 0, got {timeout}")
     if quarantine_after < 1:
         raise ConfigurationError(
             f"quarantine_after must be >= 1, got {quarantine_after}"
@@ -818,13 +723,6 @@ def run_sharded_campaign(
             "resume_journal keeps appending to its own journal; "
             "wal_path cannot redirect it"
         )
-    if faults is not None and executor != "process":
-        for spec in faults.faults:
-            if spec.kill_attempts and spec.experiment_id != PARENT_FAULT_ID:
-                raise ConfigurationError(
-                    "kill faults require executor='process': a killed "
-                    "thread worker would take the campaign parent with it"
-                )
     transport = resolve_transport(transport, executor)
     if shutdown is None:
         shutdown = ShutdownSignal()
@@ -916,7 +814,6 @@ def run_sharded_campaign(
             ),
         )
     sink = _FoldSink(accumulator, journal, obs, shutdown, parent_fault)
-    records: dict[int, ShardRunRecord] = {}
     if resume_from is not None:
         for record in carried.values():
             sink.fold_carried(record.cells, append=True)
@@ -951,34 +848,24 @@ def run_sharded_campaign(
             executor=executor,
             ecosystem=ecosystem,
         ):
-            if executor == "thread" and jobs == 1 and timeout is None:
-                records.update(
-                    _run_shards_serial(
-                        plan, pending, store, sink, families, keep_going,
-                        retries, faults, shutdown,
-                    )
-                )
-            elif pending:
-                records.update(
-                    _PooledShardRun(
-                        plan=plan,
-                        pending=pending,
-                        store=store,
-                        sink=sink,
-                        families=families,
-                        jobs=jobs,
-                        executor=executor,
-                        keep_going=keep_going,
-                        retries=retries,
-                        faults=faults,
-                        transport=transport,
-                        chunk=chunk,
-                        timeout=timeout,
-                        shutdown=shutdown,
-                        quarantine_after=quarantine_after,
-                        max_pool_rebuilds=max_pool_rebuilds,
-                    ).execute()
-                )
+            records = _ShardRun(
+                plan,
+                pending,
+                store,
+                sink,
+                families,
+                transport,
+                jobs=jobs,
+                executor=executor,
+                keep_going=keep_going,
+                retries=retries,
+                timeout=timeout,
+                faults=faults,
+                shutdown=shutdown,
+                chunk=chunk,
+                quarantine_after=quarantine_after,
+                max_pool_rebuilds=max_pool_rebuilds,
+            ).execute()
     finally:
         if journal is not None:
             journal.close()
@@ -1024,140 +911,13 @@ def run_sharded_campaign(
     return ShardedCampaignRun(totals=totals, manifest=manifest, store=store)
 
 
-def _completed_record(
-    plan: ShardPlan,
-    outcome: _ShardOutcome,
-    attempt: int,
-    cells: ShardCells | None = None,
-) -> ShardRunRecord:
-    return ShardRunRecord(
-        index=outcome.index,
-        seed=plan.spec(outcome.index).seed,
-        n_units=outcome.n_units,
-        status="completed",
-        attempts=attempt,
-        wall_seconds=outcome.wall_seconds,
-        cells=cells if cells is not None else outcome.cells,
-    )
+class _ShardRun(TaskRun):
+    """Shards on the engine's task loop: keyed by index, no dependencies;
+    completed cells fold into the sink as they arrive."""
 
-
-def _failed_shard_record(
-    plan: ShardPlan,
-    index: int,
-    failure: FailureRecord,
-    status: str = "failed",
-) -> ShardRunRecord:
-    spec = plan.spec(index)
-    return ShardRunRecord(
-        index=index,
-        seed=spec.seed,
-        n_units=spec.n_units,
-        status=status,
-        attempts=failure.attempts,
-        wall_seconds=0.0,
-        cells=None,
-        failure=failure,
-    )
-
-
-def _shard_fatal(index: int, error: BaseException, attempts: int):
-    fatal = ExperimentFailedError(
-        f"shard {index} failed after {attempts} attempt(s): "
-        f"{type(error).__name__}: {error}",
-        experiment_id=shard_fault_id(index),
-        attempts=attempts,
-    )
-    fatal.__cause__ = error
-    return fatal
-
-
-def _run_shards_serial(
-    plan: ShardPlan,
-    pending: list[int],
-    store: ArtifactStore,
-    sink: _FoldSink,
-    families: tuple[str, ...],
-    keep_going: bool,
-    retries: int,
-    faults: FaultPlan | None,
-    shutdown: ShutdownSignal,
-) -> dict[int, ShardRunRecord]:
-    obs = store.obs
-    tools = suite_for_ecosystem(plan.ecosystem, seed=plan.seed, families=families)
-    records: dict[int, ShardRunRecord] = {}
-    for index in pending:
-        if shutdown.requested:
-            break
-        obs.metrics.inc("engine.shards.scheduled")
-        fault = _fault_for_shard(faults, index)
-        attempt = 1
-        while True:
-            try:
-                outcome = _evaluate_one(
-                    plan, index, attempt, store, tools, families, fault
-                )
-            except Exception as error:
-                if attempt <= retries and not shutdown.requested:
-                    obs.metrics.inc("engine.shards.retried")
-                    attempt += 1
-                    continue
-                obs.metrics.inc("engine.shards.failed")
-                if not keep_going and not shutdown.requested:
-                    raise _shard_fatal(index, error, attempt) from error
-                failure = FailureRecord.from_exception(error, attempts=attempt)
-                records[index] = _failed_shard_record(plan, index, failure)
-                break
-            obs.metrics.inc("engine.shards.completed")
-            obs.metrics.observe("engine.shard.seconds", outcome.wall_seconds)
-            sink.fold(outcome.cells)
-            records[index] = _completed_record(plan, outcome, attempt)
-            break
-    return records
-
-
-@dataclass
-class _InFlight:
-    """Parent-side bookkeeping for one submitted shard attempt."""
-
-    index: int
-    attempt: int
-    slot: int | None
-    """Cell-ring slot, when the shm transport assigned one."""
-    hb_slot: int | None
-    """Heartbeat-board slot, when the watchdog is armed."""
-    submitted_ns: int
-    """Submission stamp — the hung-check anchor until the first beat."""
-
-
-class _PooledShardRun:
-    """One pooled (thread or process) shard campaign execution.
-
-    The closure-based pooled runner grew supervision state — probe
-    queues, crash counts, rebuild budgets, heartbeat slots — past what
-    closures carry legibly; this class is that state plus the loop over
-    it.  Keeps up to :attr:`window` shards in flight, folds as they
-    finish, and survives three failure families the old runner aborted
-    on:
-
-    - **worker death** — a :class:`BrokenExecutor` means the executor
-      killed every worker and failed the whole in-flight window.
-      Completed siblings fold normally; the crashed remainder cannot be
-      attributed (any of them may have killed the worker), so they are
-      re-dispatched *one at a time* — a pool break with exactly one shard
-      in flight is attributable — and a shard attributed
-      ``quarantine_after`` kills is recorded ``quarantined`` instead of
-      killing its next worker.  Each break evicts the cached pool and
-      rebuilds it, bounded by ``max_pool_rebuilds`` with exponential
-      backoff.
-    - **hung workers** — with ``timeout`` armed, a shard whose heartbeat
-      goes silent past the budget is timed out.  A running future cannot
-      be cancelled; it is *abandoned*: its ring/board slots leak for the
-      campaign's lifetime (a zombie may still write them) and teardown
-      retires the pool instead of returning it to the cache.
-    - **drain requests** — once ``shutdown`` is requested nothing new is
-      submitted; in-flight shards finish and are recorded, and failures
-      during the drain are recorded rather than raised.
-    """
+    noun = "shard"
+    prefix = "engine.shards"
+    seconds_histogram = "engine.shard.seconds"
 
     def __init__(
         self,
@@ -1166,442 +926,100 @@ class _PooledShardRun:
         store: ArtifactStore,
         sink: _FoldSink,
         families: tuple[str, ...],
-        jobs: int,
-        executor: str,
-        keep_going: bool,
-        retries: int,
-        faults: FaultPlan | None,
         transport: str,
-        chunk: int,
-        timeout: float | None,
-        shutdown: ShutdownSignal,
-        quarantine_after: int,
-        max_pool_rebuilds: int,
+        **policy,
     ) -> None:
+        cache_dir = str(store.cache_dir) if store.cache_dir is not None else None
+        super().__init__(
+            pending,
+            store,
+            plan.seed,
+            ("shards", plan.seed, cache_dir, plan.ecosystem),
+            **policy,
+        )
         self.plan = plan
-        self.store = store
-        self.obs = store.obs
         self.sink = sink
         self.families = families
-        self.jobs = jobs
-        self.executor = executor
-        self.keep_going = keep_going
-        self.retries = retries
-        self.faults = faults
         self.transport = transport
-        self.chunk = chunk
-        self.timeout = timeout
-        self.shutdown = shutdown
-        self.quarantine_after = quarantine_after
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.n_pending = len(pending)
-        self.queue: list[int] = list(pending)
-        self.probe_queue: list[tuple[int, int]] = []
-        self.crash_counts: dict[int, int] = {}
-        self.records: dict[int, ShardRunRecord] = {}
-        self.active: dict[Future, _InFlight] = {}
-        self.rebuilds = 0
-        self.abandoned = 0
-        cache_dir = store.cache_dir
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.trace = self.obs.tracer.enabled
+        self.n_ints = 5 + 4 * len(sink.tool_names)
+        """Length of one shard's flattened cells vector."""
         self.tools = (
             suite_for_ecosystem(
                 plan.ecosystem, seed=plan.seed, families=families
             )
-            if executor == "thread"
+            if self.executor == "thread"
             else None
         )
-        self.pool: Any = None
-        self.ring: CellRing | None = None
-        self.board: HeartbeatBoard | None = None
         self.ctx: _WorkerContext | None = None
-        self.pool_key = ("shards", plan.seed, self.cache_dir, plan.ecosystem)
 
-    @property
-    def window(self) -> int:
-        """How many shard futures may be in flight right now.
-
-        With the watchdog armed the window is the worker count (shrunk by
-        wedged workers), so a queued task's wait never reads as heartbeat
-        silence; without it, ``jobs × chunk`` keeps workers fed while the
-        parent folds.
-        """
-        if self.timeout is None:
-            return self.jobs * self.chunk
-        return max(1, self.jobs - self.abandoned)
-
-    # -- lifecycle -----------------------------------------------------------
-    def execute(self) -> dict[int, ShardRunRecord]:
-        """Run every pending shard; return their manifest records."""
-        self._setup()
-        try:
-            self._submit_ready()
-            while self.active:
-                self._tick()
-                self._submit_ready()
-        finally:
-            self._teardown()
-        return self.records
-
-    def _setup(self) -> None:
-        if self.executor == "process":
-            self.pool = cached_process_pool(
-                self.pool_key, max_workers=self.jobs
-            )
-            if self.transport == "shm":
-                self.ring = CellRing.create(
-                    n_slots=min(self.window, self.n_pending) or 1,
-                    slot_ints=5 + 4 * len(self.sink.tool_names),
-                )
-            if self.timeout is not None:
-                self.board = HeartbeatBoard.create(self.window)
-            ring, board = self.ring, self.board
-            self.ctx = _WorkerContext(
-                scale=self.plan.scale,
-                shard_size=self.plan.shard_size,
-                seed=self.plan.seed,
-                ecosystem=self.plan.ecosystem,
-                cache_dir=self.cache_dir,
-                trace=self.trace,
-                families=self.families,
-                ring_name=ring.name if ring is not None else None,
-                ring_slots=ring.n_slots if ring is not None else 0,
-                ring_slot_ints=ring.slot_ints if ring is not None else 0,
-                board_name=board.name if board is not None else None,
-                board_slots=board.n_slots if board is not None else 0,
-            )
-        else:
-            self.pool = ThreadPoolExecutor(max_workers=self.jobs)
-            if self.timeout is not None:
-                self.board = HeartbeatBoard.local(self.window)
-
-    def _teardown(self) -> None:
-        if self.executor == "thread":
-            # A wedged (abandoned) thread cannot be joined without
-            # blocking the drain; skip the wait and let it finish on its
-            # own or die with the interpreter.
-            self.pool.shutdown(wait=not self.abandoned, cancel_futures=True)
-        elif self.active or self.abandoned:
-            # Aborting with tasks still in flight (or wedged workers): a
-            # cached pool would hand the next campaign a worker mid-task,
-            # so retire this one.
-            evict_process_pool(self.pool_key)
-        if self.ring is not None:
-            self.ring.close()
-        if self.board is not None:
-            self.board.close()
-
-    # -- submission ----------------------------------------------------------
-    def _submit_ready(self) -> None:
-        if self.shutdown.requested:
-            return  # draining: nothing new goes out
-        if self.probe_queue:
-            # Probes fly solo: a pool break with exactly one shard in
-            # flight is attributable to it — which is what keeps an
-            # innocent shard that merely shared a window with a poison
-            # one out of quarantine.
-            if not self.active:
-                index, attempt = self.probe_queue.pop(0)
-                self.obs.metrics.inc("engine.shards.redispatched")
-                self._submit(index, attempt)
+    def setup(self) -> None:
+        super().setup()
+        if self.executor != "process":
             return
-        while self.queue and len(self.active) < self.window:
-            index = self.queue.pop(0)
-            self.obs.metrics.inc("engine.shards.scheduled")
-            self._submit(index, 1)
+        if self.transport == "shm":
+            self.ring = CellRing.create(
+                n_slots=min(self.window, len(self.queue)) or 1,
+                slot_ints=self.n_ints,
+            )
+        ring = self.ring
+        self.ctx = _WorkerContext(
+            scale=self.plan.scale,
+            shard_size=self.plan.shard_size,
+            seed=self.plan.seed,
+            ecosystem=self.plan.ecosystem,
+            families=self.families,
+            ring_name=ring.name if ring is not None else None,
+            ring_slots=ring.n_slots if ring is not None else 0,
+            ring_slot_ints=ring.slot_ints if ring is not None else 0,
+        )
 
-    def _submit(self, index: int, attempt: int) -> None:
-        fault = _fault_for_shard(self.faults, index)
-        slot: int | None = None
-        hb_slot = self.board.acquire() if self.board is not None else None
+    def fault_ids(self, index: int) -> tuple[str, ...]:
+        # Padded (S000003) and bare (S3) ids both address shard 3.
+        return (shard_fault_id(index), f"S{index}")
+
+    def run_local(self, index, attempt, fault, beat):
+        return _evaluate_one(
+            self.plan, index, attempt, self.store, self.tools,
+            self.families, fault, beat,
+        )
+
+    def worker_call(self, index, attempt, fault, slot):
+        return (_evaluate_in_worker, self.ctx, index, attempt, fault, slot)
+
+    def unpack(self, outcome: _ShardOutcome, slot: int | None) -> _ShardOutcome:
+        if slot is None:
+            return outcome
+        cells = ShardCells.from_array(
+            self.ring.read(slot, self.n_ints),
+            self.sink.tool_names,
+            ecosystem=self.plan.ecosystem,
+        )
+        self.ring.release(slot)
+        return replace(outcome, cells=cells)
+
+    def accept(self, index, attempt, outcome):
         if self.executor == "process":
-            # Fall back to pickle transport when crash-leaked slots have
-            # exhausted the ring rather than failing the submission.
-            if self.ring is not None and self.ring.free_slots:
-                slot = self.ring.acquire()
-            try:
-                future = self.pool.submit(
-                    _evaluate_in_worker,
-                    self.ctx, index, attempt, fault, slot, hb_slot,
-                )
-            except (BrokenExecutor, RuntimeError) as error:
-                # submit itself found a dead (or already shut down) pool:
-                # surface it through the supervision path via a
-                # pre-failed future instead of crashing the parent.
-                future = Future()
-                future.set_exception(
-                    error
-                    if isinstance(error, BrokenExecutor)
-                    else BrokenExecutor(str(error))
-                )
-        else:
-            beat = (
-                self.board.beater(hb_slot)
-                if self.board is not None and hb_slot is not None
-                else None
+            self.store.put(
+                _shard_key(self.plan, index, self.families), outcome.cells
             )
-            future = self.pool.submit(
-                _evaluate_one,
-                self.plan, index, attempt, self.store, self.tools,
-                self.families, fault, beat,
-            )
-        self.active[future] = _InFlight(
+        self.sink.fold(outcome.cells)
+        return ShardRunRecord(
             index=index,
-            attempt=attempt,
-            slot=slot,
-            hb_slot=hb_slot,
-            submitted_ns=time.monotonic_ns(),
+            seed=self.plan.spec(index).seed,
+            n_units=outcome.n_units,
+            status="completed",
+            attempts=attempt,
+            wall_seconds=outcome.wall_seconds,
+            cells=outcome.cells,
         )
 
-    # -- the main loop -------------------------------------------------------
-    def _tick(self) -> None:
-        """Wait for progress, then fold, supervise, or reap as needed."""
-        tick = 0.25 if self.timeout is not None else None
-        done, _ = wait(
-            set(self.active), timeout=tick, return_when=FIRST_COMPLETED
+    def unfinished_record(self, index, status, failure=None, skip_reason=None):
+        spec = self.plan.spec(index)
+        return ShardRunRecord(
+            index=index,
+            seed=spec.seed,
+            n_units=spec.n_units,
+            status=status,
+            attempts=failure.attempts,
+            failure=failure,
         )
-        if self.executor == "process" and any(
-            isinstance(future.exception(), BrokenExecutor) for future in done
-        ):
-            self._supervise_pool_break()
-            return
-        for future in done:
-            self._handle_done(future)
-        if self.timeout is not None:
-            self._reap_hung()
-
-    def _handle_done(self, future: Future) -> None:
-        flight = self.active.pop(future)
-        if self.board is not None and flight.hb_slot is not None:
-            self.board.release(flight.hb_slot)
-        error = future.exception()
-        if error is None:
-            self._fold_success(flight, future.result())
-            return
-        if self.ring is not None and flight.slot is not None:
-            # The failed task never folded, so its slot is dead weight —
-            # and its worker is done with it, so reuse is safe.
-            self.ring.release(flight.slot)
-        self._handle_failure(flight, error)
-
-    def _fold_success(self, flight: _InFlight, outcome: _ShardOutcome) -> None:
-        index, attempt = flight.index, flight.attempt
-        if self.executor == "process":
-            try:
-                cells = self._extract_cells(outcome)
-            except ConfigurationError as error:
-                # A corrupted shm slot misframes or unbalances the flat
-                # vector; that is a (retryable) task failure, not a
-                # parent bug.
-                self.obs.metrics.inc("engine.transport.corrupt")
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)
-                self._handle_failure(flight, error)
-                return
-            if outcome.metrics_dump is not None:
-                self.obs.metrics.merge_dict(outcome.metrics_dump)
-            if self.trace and outcome.spans:
-                self.obs.tracer.ingest(
-                    outcome.spans,
-                    offset_seconds=(
-                        outcome.trace_epoch_unix - self.obs.tracer.epoch_unix
-                    ),
-                )
-            self.store.put(_shard_key(self.plan, index, self.families), cells)
-        else:
-            cells = outcome.cells
-        self.obs.metrics.inc("engine.shards.completed")
-        self.obs.metrics.observe("engine.shard.seconds", outcome.wall_seconds)
-        self.sink.fold(cells)
-        self.records[index] = _completed_record(
-            self.plan, outcome, attempt, cells
-        )
-
-    def _extract_cells(self, outcome: _ShardOutcome) -> ShardCells:
-        cells = outcome.cells
-        if self.ring is not None and outcome.slot is not None:
-            n_ints = 5 + 4 * len(self.sink.tool_names)
-            cells = ShardCells.from_array(
-                self.ring.read(outcome.slot, n_ints),
-                self.sink.tool_names,
-                ecosystem=self.plan.ecosystem,
-            )
-            self.ring.release(outcome.slot)
-        return cells
-
-    def _handle_failure(self, flight: _InFlight, error: BaseException) -> None:
-        index, attempt = flight.index, flight.attempt
-        retryable = isinstance(error, Exception)
-        if (
-            retryable
-            and attempt <= self.retries
-            and not self.shutdown.requested
-        ):
-            self.obs.metrics.inc("engine.shards.retried")
-            self._submit(index, attempt + 1)
-            return
-        self.obs.metrics.inc("engine.shards.failed")
-        if (
-            not retryable or not self.keep_going
-        ) and not self.shutdown.requested:
-            self._drain_and_raise(_shard_fatal(index, error, attempt))
-        failure = FailureRecord.from_exception(error, attempts=attempt)
-        self.records[index] = _failed_shard_record(self.plan, index, failure)
-
-    def _drain_and_raise(self, fatal: Exception) -> None:
-        still_running = [
-            future for future in self.active if not future.cancel()
-        ]
-        if still_running:
-            _, not_done = wait(still_running, timeout=self.timeout)
-            self.abandoned += len(not_done)
-        raise fatal
-
-    # -- supervision ---------------------------------------------------------
-    def _supervise_pool_break(self) -> None:
-        """A worker died and broke the pool: fold the survivors, attribute
-        the crash, quarantine repeat offenders, rebuild, re-dispatch."""
-        self.obs.metrics.inc("engine.workers.crashed")
-        # A broken executor terminates every worker and fails the rest of
-        # the window fast; retiring the cached pool also settles anything
-        # still queued inside it.
-        evict_process_pool(self.pool_key)
-        wait(list(self.active), timeout=5.0)
-        crashed: list[_InFlight] = []
-        ordinary: list[Future] = []
-        for future in list(self.active):
-            if not future.done():
-                # Should not happen after the pool shut down; abandon the
-                # flight (leaking its slots) rather than block on it.
-                flight = self.active.pop(future)
-                self.abandoned += 1
-                crashed.append(flight)
-                continue
-            error = future.exception()
-            if isinstance(error, BrokenExecutor):
-                flight = self.active.pop(future)
-                if self.board is not None and flight.hb_slot is not None:
-                    self.board.release(flight.hb_slot)
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)  # its writer is dead
-                crashed.append(flight)
-            else:
-                ordinary.append(future)
-        # Fold completed siblings first: their cells (and journal
-        # records) survive even if quarantine aborts the campaign below.
-        completed = [f for f in ordinary if f.exception() is None]
-        failed = [f for f in ordinary if f.exception() is not None]
-        for future in completed:
-            self._handle_done(future)
-        self._attribute_crashes(crashed)
-        if not self.shutdown.requested and (
-            self.queue or self.probe_queue or failed
-        ):
-            self._rebuild_pool()
-        for future in failed:
-            self._handle_done(future)
-
-    def _attribute_crashes(self, crashed: list[_InFlight]) -> None:
-        """Decide each crashed flight's fate: probe, quarantine, or (under
-        a drain) record as failed.
-
-        Attribution is deliberately conservative: the kill count only
-        advances when the break had exactly one shard in flight, so a
-        full-window break blames nobody and every crashed shard earns a
-        solo probe instead.
-        """
-        attributable = len(crashed) == 1
-        for flight in crashed:
-            index = flight.index
-            if attributable:
-                self.crash_counts[index] = self.crash_counts.get(index, 0) + 1
-            if self.crash_counts.get(index, 0) >= self.quarantine_after:
-                self._quarantine(flight)
-                continue
-            if self.shutdown.requested:
-                error = WorkerCrashError(
-                    f"shard {index} was in flight when its worker pool "
-                    f"broke during a drain"
-                )
-                failure = FailureRecord.from_exception(
-                    error, attempts=flight.attempt
-                )
-                self.records[index] = _failed_shard_record(
-                    self.plan, index, failure
-                )
-                continue
-            # Re-probe at the next attempt number so transient kill
-            # faults (kill=K) stop firing once K attempts have died.
-            self.probe_queue.append((index, flight.attempt + 1))
-
-    def _quarantine(self, flight: _InFlight) -> None:
-        index = flight.index
-        self.obs.metrics.inc("engine.shards.quarantined")
-        error = WorkerCrashError(
-            f"shard {index} killed {self.crash_counts.get(index, 0)} "
-            f"worker(s); quarantined"
-        )
-        if not self.keep_going and not self.shutdown.requested:
-            self._drain_and_raise(_shard_fatal(index, error, flight.attempt))
-        failure = FailureRecord.from_exception(error, attempts=flight.attempt)
-        self.records[index] = _failed_shard_record(
-            self.plan, index, failure, status="quarantined"
-        )
-
-    def _rebuild_pool(self) -> None:
-        if self.rebuilds >= self.max_pool_rebuilds:
-            raise EngineError(
-                f"worker pool broke {self.rebuilds + 1} times; giving up "
-                f"(max_pool_rebuilds={self.max_pool_rebuilds})"
-            )
-        self.rebuilds += 1
-        backoff = min(2.0, 0.05 * 2 ** (self.rebuilds - 1))
-        with self.obs.tracer.span(
-            "engine.pool_rebuild", rebuild=self.rebuilds, backoff=backoff
-        ):
-            time.sleep(backoff)
-            self.pool = cached_process_pool(
-                self.pool_key, max_workers=self.jobs
-            )
-        self.obs.metrics.inc("engine.pool.rebuilds")
-
-    # -- the watchdog --------------------------------------------------------
-    def _reap_hung(self) -> None:
-        """Time out shards whose heartbeat went silent past the budget."""
-        budget_ns = int(self.timeout * 1e9)
-        now = time.monotonic_ns()
-        for future, flight in list(self.active.items()):
-            anchor = flight.submitted_ns
-            if self.board is not None and flight.hb_slot is not None:
-                anchor = max(anchor, self.board.last_beat(flight.hb_slot))
-            if now - anchor <= budget_ns:
-                continue
-            del self.active[future]
-            if future.cancel():
-                # Never started: its slots are untouched and reusable.
-                if self.board is not None and flight.hb_slot is not None:
-                    self.board.release(flight.hb_slot)
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)
-            else:
-                # Running and silent: abandon it.  Its slots leak for the
-                # campaign's lifetime — the hung worker may still write
-                # them — and teardown retires the pool.
-                self.abandoned += 1
-            self.obs.metrics.inc("engine.shards.timeout")
-            error = ExperimentTimeoutError(
-                f"shard {flight.index} went {self.timeout}s without a "
-                f"heartbeat (hung, not slow: live workers beat at phase "
-                f"boundaries)",
-                experiment_id=shard_fault_id(flight.index),
-                timeout=self.timeout,
-            )
-            if not self.keep_going and not self.shutdown.requested:
-                self._drain_and_raise(error)
-            failure = FailureRecord.from_exception(
-                error, attempts=flight.attempt
-            )
-            self.records[flight.index] = _failed_shard_record(
-                self.plan, flight.index, failure, status="timeout"
-            )

@@ -465,7 +465,7 @@ def _cmd_run(
 ) -> int:
     from repro.bench.engine.faults import FaultPlan, parse_fault
     from repro.bench.engine.manifest import RunManifest
-    from repro.errors import EngineError
+    from repro.errors import ConfigurationError, EngineError
     from repro.obs import Observability, Profiler, Tracer
     from repro.persist import load_json
 
@@ -507,7 +507,7 @@ def _cmd_run(
             faults=faults,
             resume_from=resume_from,
         )
-    except EngineError as error:
+    except (ConfigurationError, EngineError) as error:
         raise SystemExit(f"run aborted — {error}") from error
     for key in ids:
         record = run.manifest.record_for(key)
@@ -606,7 +606,7 @@ def _cmd_run_scale(
     from repro.bench.engine.shards import ShardRunManifest, run_sharded_campaign
     from repro.bench.engine.supervise import graceful_shutdown
     from repro.bench.engine.wal import is_journal
-    from repro.errors import EngineError, PersistError
+    from repro.errors import ConfigurationError, EngineError, PersistError
     from repro.obs import Observability, Tracer
     from repro.persist import load_json
     from repro.reporting.tables import format_table
@@ -663,7 +663,7 @@ def _cmd_run_scale(
                 transport=transport,
                 chunk=chunk,
             )
-    except (EngineError, PersistError) as error:
+    except (ConfigurationError, EngineError, PersistError) as error:
         raise SystemExit(f"run aborted — {error}") from error
     for record in run.manifest.records:
         if record.completed:

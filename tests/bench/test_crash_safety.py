@@ -294,6 +294,21 @@ class TestHeartbeatWatchdog:
             "engine.shards.timeout"
         ) == 1
 
+    def test_hung_shard_does_not_strand_the_queue(self):
+        # At jobs=1 the hang wedges the only worker: the shards queued
+        # behind it must still run, not be reaped unstarted.
+        run = run_sharded_campaign(
+            scale=400, shard_size=100, seed=SEED,
+            jobs=1, keep_going=True, timeout=0.75,
+            faults=FaultPlan(
+                (FaultSpec(shard_fault_id(1), hang_seconds=3.0),)
+            ),
+        )
+        statuses = {r.index: r.status for r in run.manifest.records}
+        assert statuses == {
+            0: "completed", 1: "timeout", 2: "completed", 3: "completed",
+        }
+
     def test_hung_shard_fail_fast_raises(self):
         with pytest.raises(ExperimentTimeoutError):
             run_sharded_campaign(

@@ -373,6 +373,67 @@ class TestTimeout:
         run = run_experiments(["R1"], seed=2015, jobs=2, timeout=120.0)
         assert run.ok
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_wedged_worker_does_not_strand_the_queue(self, executor):
+        # At jobs=1 the hang wedges the only worker: the experiments
+        # queued behind it must still run, not be reaped unstarted.
+        run = run_experiments(
+            TRIAD,
+            seed=2015,
+            jobs=1,
+            executor=executor,
+            keep_going=True,
+            timeout=2.0,
+            faults=FaultPlan((FaultSpec("R1", hang_seconds=6.0),)),
+        )
+        assert run.manifest.statuses == {
+            "R1": "timeout",
+            "R3": "completed",
+            "R4": "completed",
+        }
+
+
+def kill_r3(attempts: int) -> FaultPlan:
+    return FaultPlan((FaultSpec("R3", kill_attempts=attempts),))
+
+
+class TestWorkerSupervision:
+    def test_kill_fault_requires_process_executor(self):
+        with pytest.raises(ConfigurationError, match="require executor"):
+            run_experiments(TRIAD, seed=2015, jobs=2, faults=kill_r3(1))
+
+    def test_worker_kill_recovers_bit_identically(self):
+        clean = run_experiments(TRIAD, seed=2015)
+        obs = Observability()
+        run = run_experiments(
+            TRIAD, seed=2015, jobs=2, executor="process",
+            faults=kill_r3(1), obs=obs,
+        )
+        assert run.ok
+        for key in TRIAD:
+            assert run.results[key].render() == clean.results[key].render()
+        assert obs.metrics.counter_values("engine.pool.")[
+            "engine.pool.rebuilds"
+        ] >= 1
+
+    def test_persistent_killer_fails_and_skips_its_dependents(self):
+        run = run_experiments(
+            TRIAD, seed=2015, jobs=2, executor="process", keep_going=True,
+            faults=kill_r3(ALWAYS),
+        )
+        assert run.manifest.statuses == {
+            "R1": "completed",
+            "R3": "failed",
+            "R4": "skipped",
+        }
+        assert run.manifest.record_for("R3").failure.error_type == (
+            "WorkerCrashError"
+        )
+        assert run.manifest.record_for("R4").skip_reason == (
+            "dependency R3 failed"
+        )
+        assert sorted(run.results) == ["R1"]
+
 
 class TestResume:
     @pytest.mark.parametrize("executor,jobs", EXECUTION_MODES)

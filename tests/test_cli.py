@@ -70,6 +70,19 @@ class TestEngineFlags:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "R1", "--timeout", "0"], "timeout must be > 0"),
+            (["run", "R1", "--retries", "-1"], "retries must be >= 0"),
+            (["run", "--scale", "100", "--timeout", "0"], "timeout must be > 0"),
+        ],
+        ids=["timeout", "retries", "scale-timeout"],
+    )
+    def test_invalid_policy_is_a_clean_error(self, argv, message):
+        with pytest.raises(SystemExit, match=f"^run aborted — {message}"):
+            main(argv)
+
     def test_jobs_zero_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="--jobs must be >= 1"):
             main(["run", "R1", "--jobs", "0"])
