@@ -32,11 +32,7 @@ from repro.bench.engine.artifacts import ArtifactStore
 from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
 from repro.bench.engine.supervise import HeartbeatBoard, ShutdownSignal
-from repro.bench.engine.transport import (
-    CellRing,
-    cached_process_pool,
-    evict_process_pool,
-)
+from repro.bench.engine.transport import cached_process_pool, evict_process_pool
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -48,8 +44,8 @@ from repro.obs import Observability, SpanRecord, Tracer
 
 __all__ = [
     "EXECUTORS",
-    "DEFAULT_QUARANTINE_AFTER",
-    "DEFAULT_MAX_POOL_REBUILDS",
+    "QUARANTINE_AFTER",
+    "MAX_POOL_REBUILDS",
     "TaskRun",
     "WorkerOutcome",
     "check_policy",
@@ -61,10 +57,10 @@ __all__ = [
 EXECUTORS = ("thread", "process")
 
 #: A task that kills this many workers is quarantined as poisonous.
-DEFAULT_QUARANTINE_AFTER = 3
+QUARANTINE_AFTER = 3
 
 #: A run aborts after this many process-pool rebuilds.
-DEFAULT_MAX_POOL_REBUILDS = 5
+MAX_POOL_REBUILDS = 5
 
 
 def check_policy(
@@ -203,8 +199,6 @@ class _InFlight:
 
     key: Hashable
     attempt: int
-    slot: int | None
-    """Cell-ring slot, when the shm transport assigned one."""
     hb_slot: int | None
     """Heartbeat-board slot, when the watchdog is armed."""
     submitted_ns: int
@@ -228,6 +222,9 @@ class TaskRun:
     prefix = "engine.tasks"
     #: Histogram observing each completed task's wall seconds.
     seconds_histogram = "engine.task.seconds"
+    #: Without the watchdog, up to ``jobs × window_per_job`` tasks are in
+    #: flight (see :attr:`window`).
+    window_per_job = 1
 
     def __init__(
         self,
@@ -244,9 +241,6 @@ class TaskRun:
         faults: FaultPlan | None,
         deps: dict[Hashable, tuple[Hashable, ...]] | None = None,
         shutdown: ShutdownSignal | None = None,
-        chunk: int = 1,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-        max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
     ) -> None:
         self.store = store
         self.obs = store.obs
@@ -261,9 +255,6 @@ class TaskRun:
         self.deps = deps or {}
         """In-set dependencies per key, in declared order."""
         self.shutdown = shutdown if shutdown is not None else ShutdownSignal()
-        self.chunk = chunk
-        self.quarantine_after = quarantine_after
-        self.max_pool_rebuilds = max_pool_rebuilds
         self.queue: list[Hashable] = list(keys)
         """Tasks not yet submitted, in dependency order."""
         self.probe_queue: list[tuple[Hashable, int]] = []
@@ -279,7 +270,6 @@ class TaskRun:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.trace = self.obs.tracer.enabled
         self.pool: Any = None
-        self.ring: CellRing | None = None
         self.board: HeartbeatBoard | None = None
         self.inline = (
             executor == "thread"
@@ -311,25 +301,15 @@ class TaskRun:
     ) -> Any:
         """Run one attempt in this process (inline or on a pool thread):
         by default the process-side body, against the run's own store."""
-        body, *args = self.worker_call(key, attempt, fault, None)
+        body, *args = self.worker_call(key, attempt, fault)
         return body(self.store, beat, *args)
 
     def worker_call(
-        self,
-        key: Hashable,
-        attempt: int,
-        fault: FaultSpec | None,
-        slot: int | None,
+        self, key: Hashable, attempt: int, fault: FaultSpec | None
     ) -> tuple[Any, ...]:
         """``(body, *args)`` for :func:`in_worker`: one attempt's
-        process-side call (``slot`` is its cell-ring slot, if any)."""
+        process-side call."""
         raise NotImplementedError
-
-    def unpack(self, value: Any, slot: int | None) -> Any:
-        """Decode a worker's value (``slot`` is its cell-ring slot, if
-        any); raising :class:`ConfigurationError` marks a corrupted
-        transport payload, a retryable failure."""
-        return value
 
     def accept(self, key: Hashable, attempt: int, value: Any) -> Any:
         """Fold one successful attempt's value into the run; returns the
@@ -356,13 +336,13 @@ class TaskRun:
         Inline runs keep one.  With the watchdog armed the window is the
         worker count (shrunk by wedged workers, which are replaced once
         all are wedged), so a queued task's wait never reads as heartbeat
-        silence; without it, ``jobs × chunk`` keeps workers fed while the
-        parent folds.
+        silence; without it, ``jobs × window_per_job`` keeps workers fed
+        while the parent folds.
         """
         if self.inline:
             return 1
         if self.timeout is None:
-            return self.jobs * self.chunk
+            return self.jobs * self.window_per_job
         return max(1, self.jobs - self.abandoned)
 
     def execute(self) -> dict[Hashable, Any]:
@@ -393,7 +373,7 @@ class TaskRun:
                 self.board = HeartbeatBoard.local(self.window)
 
     def teardown(self) -> None:
-        """Stop or retire the executor; close the shared segments."""
+        """Stop or retire the executor; close the heartbeat board."""
         if self.executor == "thread":
             # A wedged (abandoned) thread cannot be joined without
             # blocking the drain; skip the wait and let it finish on its
@@ -404,8 +384,6 @@ class TaskRun:
             # cached pool would hand the next run a worker mid-task, so
             # retire this one.
             evict_process_pool(self.pool_key)
-        if self.ring is not None:
-            self.ring.close()
         if self.board is not None:
             self.board.close()
 
@@ -446,19 +424,14 @@ class TaskRun:
 
     def _submit(self, key: Hashable, attempt: int) -> None:
         fault = self.fault_for(key)
-        slot: int | None = None
         hb_slot = self.board.acquire() if self.board is not None else None
         if self.executor == "process":
-            # Fall back to pickle transport when crash-leaked slots have
-            # exhausted the ring rather than failing the submission.
-            if self.ring is not None and self.ring.free_slots:
-                slot = self.ring.acquire()
             beat_slot = (
                 (self.board.name, self.board.n_slots, hb_slot)
                 if hb_slot is not None
                 else None
             )
-            body, *args = self.worker_call(key, attempt, fault, slot)
+            body, *args = self.worker_call(key, attempt, fault)
             try:
                 future = self.pool.submit(
                     in_worker, body, self.seed, self.cache_dir, self.trace,
@@ -480,7 +453,6 @@ class TaskRun:
         self.active[future] = _InFlight(
             key=key,
             attempt=attempt,
-            slot=slot,
             hb_slot=hb_slot,
             submitted_ns=time.monotonic_ns(),
         )
@@ -510,26 +482,12 @@ class TaskRun:
         if error is None:
             self._succeed(flight, future.result())
             return
-        if self.ring is not None and flight.slot is not None:
-            # The failed task never folded, so its slot is dead weight —
-            # and its worker is done with it, so reuse is safe.
-            self.ring.release(flight.slot)
         self._handle_failure(flight, error)
 
     def _succeed(self, flight: _InFlight, outcome: Any) -> None:
         value = outcome
         if self.executor == "process":
-            try:
-                value = self.unpack(outcome.value, flight.slot)
-            except ConfigurationError as error:
-                # A corrupted shm slot misframes or unbalances the flat
-                # vector; that is a (retryable) task failure, not a
-                # parent bug.
-                self.obs.metrics.inc("engine.transport.corrupt")
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)
-                self._handle_failure(flight, error)
-                return
+            value = outcome.value
             self.obs.metrics.merge_dict(outcome.metrics_dump)
             if self.trace and outcome.spans:
                 self.obs.tracer.ingest(
@@ -625,7 +583,8 @@ class TaskRun:
         for future in list(self.active):
             if not future.done():
                 # Should not happen after the pool shut down; abandon the
-                # flight (leaking its slots) rather than block on it.
+                # flight (leaking its heartbeat slot) rather than block on
+                # it.
                 flight = self.active.pop(future)
                 self.abandoned += 1
                 crashed.append(flight)
@@ -634,9 +593,7 @@ class TaskRun:
             if isinstance(error, BrokenExecutor):
                 flight = self.active.pop(future)
                 if self.board is not None and flight.hb_slot is not None:
-                    self.board.release(flight.hb_slot)
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)  # its writer is dead
+                    self.board.release(flight.hb_slot)  # its writer is dead
                 crashed.append(flight)
             else:
                 ordinary.append(future)
@@ -668,7 +625,7 @@ class TaskRun:
             key = flight.key
             if attributable:
                 self.crash_counts[key] = self.crash_counts.get(key, 0) + 1
-            if self.crash_counts.get(key, 0) >= self.quarantine_after:
+            if self.crash_counts.get(key, 0) >= QUARANTINE_AFTER:
                 self._quarantine(flight)
                 continue
             if self.shutdown.requested:
@@ -700,10 +657,10 @@ class TaskRun:
         )
 
     def _rebuild_pool(self) -> None:
-        if self.rebuilds >= self.max_pool_rebuilds:
+        if self.rebuilds >= MAX_POOL_REBUILDS:
             raise EngineError(
                 f"worker pool broke {self.rebuilds + 1} times; giving up "
-                f"(max_pool_rebuilds={self.max_pool_rebuilds})"
+                f"(at most {MAX_POOL_REBUILDS} rebuilds per run)"
             )
         self.rebuilds += 1
         backoff = min(2.0, 0.05 * 2 ** (self.rebuilds - 1))
@@ -729,15 +686,14 @@ class TaskRun:
                 continue
             del self.active[future]
             if future.cancel():
-                # Never started: its slots are untouched and reusable.
+                # Never started: its heartbeat slot is untouched and
+                # reusable.
                 if self.board is not None and flight.hb_slot is not None:
                     self.board.release(flight.hb_slot)
-                if self.ring is not None and flight.slot is not None:
-                    self.ring.release(flight.slot)
             else:
-                # Running and silent: abandon it.  Its slots leak for the
-                # run's lifetime — the hung worker may still write them —
-                # and teardown retires the pool.
+                # Running and silent: abandon it.  Its heartbeat slot leaks
+                # for the run's lifetime — the hung worker may still beat
+                # it — and teardown retires the pool.
                 self.abandoned += 1
             self.obs.metrics.inc(f"{self.prefix}.timeout")
             error = ExperimentTimeoutError(

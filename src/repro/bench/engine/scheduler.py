@@ -232,7 +232,7 @@ class _ExperimentRun(TaskRun):
     def fault_ids(self, key: str) -> tuple[str, ...]:
         return (key,)
 
-    def worker_call(self, key, attempt, fault, slot):
+    def worker_call(self, key, attempt, fault):
         return (_execute, self.seed, key, attempt, fault)
 
     def accept(self, key, attempt, value):

@@ -15,15 +15,11 @@ use), so engine semantics carry over wholesale:
 
 - **executors** — shards run inline, in a thread pool, or in worker
   processes (``executor="process"``) that keep persistent artifact
-  stores; process pools are cached across campaigns
+  stores and return each shard's cells inside their pickled outcome;
+  process pools are cached across campaigns
   (:mod:`repro.bench.engine.transport`), so follow-up runs find warm
-  workers;
-- **transport** — process workers ship their cells home either as a
-  pickled outcome (``transport="pickle"``) or as a flat int64 vector
-  written into a shared-memory :class:`~repro.bench.engine.transport.
-  CellRing` slot (``"shm"``, the ``"auto"`` choice on POSIX); cells are
-  byte-identical either way, and submission is chunked so at most
-  ``jobs × chunk`` futures are in flight;
+  workers, and up to ``jobs × 4`` shards are in flight so workers stay
+  fed while the parent folds;
 - **caching** — each shard's cells are memoized in the artifact store
   under ``kind="shard-cells"`` and persisted to ``cache_dir`` as
   ``repro/shard-cells@1`` entries, so a warm re-run folds cached cells
@@ -44,10 +40,11 @@ use), so engine semantics carry over wholesale:
   the campaign: the runner rebuilds the process pool (bounded rebuilds
   with exponential backoff) and re-dispatches the in-flight shards,
   probing them one at a time so the shard that actually killed the
-  worker is attributable; a shard that kills ``quarantine_after``
-  workers is recorded with status ``quarantined`` and the campaign
-  continues under ``keep_going``.  ``wal_path`` appends every folded
-  shard to an fsync'd write-ahead journal
+  worker is attributable; a shard that kills three workers
+  (:data:`~repro.bench.engine.runner.QUARANTINE_AFTER`) is recorded
+  with status ``quarantined`` and the campaign continues under
+  ``keep_going``.  ``wal_path`` appends every folded shard to an
+  fsync'd write-ahead journal
   (:mod:`repro.bench.engine.wal`), so a SIGKILL'd *parent* recovers via
   ``resume_journal`` — replay the journal, re-run only missing shards,
   bit-identical totals.  A :class:`~repro.bench.engine.supervise.
@@ -68,26 +65,15 @@ import os
 import signal as signal_module
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bench.engine.artifacts import ArtifactCodec, ArtifactKey, ArtifactStore
 from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
-from repro.bench.engine.runner import (
-    DEFAULT_MAX_POOL_REBUILDS,
-    DEFAULT_QUARANTINE_AFTER,
-    TaskRun,
-    check_policy,
-    worker_cached,
-)
+from repro.bench.engine.runner import TaskRun, check_policy, worker_cached
 from repro.bench.engine.supervise import ShutdownSignal
-from repro.bench.engine.transport import (
-    DEFAULT_CHUNK,
-    CellRing,
-    reclaim_leaked_segments,
-    resolve_transport,
-)
+from repro.bench.engine.transport import reclaim_leaked_segments
 from repro.bench.engine.wal import JournalHeader, ShardJournal
 from repro.bench.result import DEFAULT_SEED
 from repro.bench.streaming import (
@@ -105,8 +91,6 @@ from repro.workload.sharded import DEFAULT_SHARD_SIZE, ShardPlan, plan_shards
 __all__ = [
     "SHARD_MANIFEST_SCHEMA",
     "SHARD_STATUSES",
-    "DEFAULT_QUARANTINE_AFTER",
-    "DEFAULT_MAX_POOL_REBUILDS",
     "ShardRunRecord",
     "ShardRunManifest",
     "ShardedCampaignRun",
@@ -406,18 +390,12 @@ class ShardedCampaignRun:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ShardOutcome:
-    """One evaluated shard, as its task body returns it.
-
-    Under the shared-memory transport a worker returns ``cells`` as
-    ``None``, having written them flattened into its task's
-    :class:`~repro.bench.engine.transport.CellRing` slot; the parent
-    rebuilds them with :meth:`ShardCells.from_array`.
-    """
+    """One evaluated shard, as its task body returns it."""
 
     index: int
     n_units: int
     wall_seconds: float
-    cells: ShardCells | None
+    cells: ShardCells
 
 
 def _evaluate_one(
@@ -486,8 +464,7 @@ class _WorkerContext:
     of ``(scale, shard_size, seed, ecosystem)``, so workers rebuild (and
     cache) it from these fields instead of unpickling the full plan — which
     is what lets one cached pool serve *different* campaigns across
-    :func:`run_sharded_campaign` calls.  ``ring_name`` (plus the ring
-    geometry) is set under the shared-memory transport.
+    :func:`run_sharded_campaign` calls.
     """
 
     scale: int
@@ -495,32 +472,14 @@ class _WorkerContext:
     seed: int
     ecosystem: str
     families: tuple[str, ...]
-    ring_name: str | None = None
-    ring_slots: int = 0
-    ring_slot_ints: int = 0
 
 
 #: Worker-process caches keyed by fields of the task's
 #: :class:`_WorkerContext`, so one long-lived worker serves many
-#: campaigns: reconstructed shard plans, built tool suites, and the
-#: attached cell ring (the artifact store is the runner's, shared with
-#: experiments).
+#: campaigns: reconstructed shard plans and built tool suites (the
+#: artifact store is the runner's, shared with experiments).
 _WORKER_PLANS: dict[tuple[int, int, int, str], ShardPlan] = {}
 _WORKER_SUITES: dict[tuple[str, int, tuple[str, ...]], list] = {}
-_WORKER_RING: Any | None = None
-
-
-def _worker_ring(ctx: _WorkerContext):
-    """The attached cell ring for ``ctx``, (re)attaching on name change."""
-    global _WORKER_RING
-    if _WORKER_RING is not None and _WORKER_RING.name != ctx.ring_name:
-        _WORKER_RING.close()
-        _WORKER_RING = None
-    if _WORKER_RING is None:
-        _WORKER_RING = CellRing.attach(
-            ctx.ring_name, ctx.ring_slots, ctx.ring_slot_ints
-        )
-    return _WORKER_RING
 
 
 def _evaluate_in_worker(
@@ -530,13 +489,8 @@ def _evaluate_in_worker(
     index: int,
     attempt: int,
     fault: FaultSpec | None,
-    slot: int | None,
 ) -> _ShardOutcome:
-    """Process-side body: evaluate one shard against the worker's store.
-
-    Under the shared-memory transport (``slot`` given) the cells leave
-    through the ring instead of the returned outcome.
-    """
+    """Process-side body: evaluate one shard against the worker's store."""
     plan = worker_cached(
         _WORKER_PLANS,
         (ctx.scale, ctx.shard_size, ctx.seed, ctx.ecosystem),
@@ -554,13 +508,9 @@ def _evaluate_in_worker(
             ctx.ecosystem, seed=ctx.seed, families=ctx.families
         ),
     )
-    outcome = _evaluate_one(
+    return _evaluate_one(
         plan, index, attempt, store, tools, ctx.families, fault, beat
     )
-    if slot is None:
-        return outcome
-    _worker_ring(ctx).write(slot, outcome.cells.to_array())
-    return replace(outcome, cells=None)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +539,6 @@ class _FoldSink:
         self.shutdown = shutdown
         self.parent_fault = parent_fault
         self.folds = 0
-
-    @property
-    def tool_names(self) -> tuple[str, ...]:
-        """The accumulator's tool ordering (fixes the cells framing)."""
-        return self.accumulator.tool_names
 
     def fold(self, cells: ShardCells) -> None:
         """Fold one freshly computed shard (journalled, chaos-eligible)."""
@@ -645,14 +590,10 @@ def run_sharded_campaign(
     resume_from: ShardRunManifest | None = None,
     ecosystem: str = DEFAULT_ECOSYSTEM,
     tool_families: tuple[str, ...] | None = None,
-    transport: str = "auto",
-    chunk: int = DEFAULT_CHUNK,
     timeout: float | None = None,
     wal_path: str | None = None,
     resume_journal: str | None = None,
     shutdown: ShutdownSignal | None = None,
-    quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-    max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
 ) -> ShardedCampaignRun:
     """Run an ecosystem's tool suite over a sharded ``scale``-unit corpus.
 
@@ -678,17 +619,11 @@ def run_sharded_campaign(
     the failed shards re-execute, at the plan parameters recorded in the
     manifest (``scale``/``shard_size``/``seed`` arguments are ignored).
 
-    ``transport`` selects how process-executor results cross the process
-    boundary — ``"shm"`` (flattened cells through a shared-memory ring),
-    ``"pickle"`` (the legacy object path), or ``"auto"`` (shm where
-    supported); both yield byte-identical cells.  ``chunk`` scales the
-    submission window: up to ``jobs × chunk`` shard futures stay in
-    flight, keeping workers fed while the parent folds.
-
     Crash safety (see ``docs/benchmarking.md``, "Crash recovery"): a dead
-    worker triggers supervision — the pool is rebuilt (bounded by
-    ``max_pool_rebuilds``) and crashed shards are re-probed one at a
-    time, quarantining any shard attributed ``quarantine_after`` worker
+    worker triggers supervision — the pool is rebuilt (at most
+    :data:`~repro.bench.engine.runner.MAX_POOL_REBUILDS` times) and
+    crashed shards are re-probed one at a time, quarantining any shard
+    attributed :data:`~repro.bench.engine.runner.QUARANTINE_AFTER` worker
     kills.  ``wal_path`` appends every folded shard to an fsync'd
     journal; ``resume_journal`` replays one and re-runs only the missing
     shards (mutually exclusive with ``resume_from``).  ``shutdown`` is a
@@ -703,16 +638,6 @@ def run_sharded_campaign(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
         faults=faults,
     )
-    if chunk < 1:
-        raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-    if quarantine_after < 1:
-        raise ConfigurationError(
-            f"quarantine_after must be >= 1, got {quarantine_after}"
-        )
-    if max_pool_rebuilds < 0:
-        raise ConfigurationError(
-            f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
-        )
     if resume_from is not None and resume_journal is not None:
         raise ConfigurationError(
             "resume_from and resume_journal are mutually exclusive — "
@@ -723,7 +648,6 @@ def run_sharded_campaign(
             "resume_journal keeps appending to its own journal; "
             "wal_path cannot redirect it"
         )
-    transport = resolve_transport(transport, executor)
     if shutdown is None:
         shutdown = ShutdownSignal()
 
@@ -854,7 +778,6 @@ def run_sharded_campaign(
                 store,
                 sink,
                 families,
-                transport,
                 jobs=jobs,
                 executor=executor,
                 keep_going=keep_going,
@@ -862,9 +785,6 @@ def run_sharded_campaign(
                 timeout=timeout,
                 faults=faults,
                 shutdown=shutdown,
-                chunk=chunk,
-                quarantine_after=quarantine_after,
-                max_pool_rebuilds=max_pool_rebuilds,
             ).execute()
     finally:
         if journal is not None:
@@ -876,7 +796,7 @@ def run_sharded_campaign(
         carried[index] if index in carried else records[index]
         for index in sorted({*carried, *records})
     )
-    extra: dict[str, Any] = {"transport": transport}
+    extra: dict[str, Any] = {}
     if journal is not None:
         extra["wal"] = str(journal.path)
     if obs.tracer.enabled:
@@ -918,6 +838,7 @@ class _ShardRun(TaskRun):
     noun = "shard"
     prefix = "engine.shards"
     seconds_histogram = "engine.shard.seconds"
+    window_per_job = 4
 
     def __init__(
         self,
@@ -926,7 +847,6 @@ class _ShardRun(TaskRun):
         store: ArtifactStore,
         sink: _FoldSink,
         families: tuple[str, ...],
-        transport: str,
         **policy,
     ) -> None:
         cache_dir = str(store.cache_dir) if store.cache_dir is not None else None
@@ -940,9 +860,6 @@ class _ShardRun(TaskRun):
         self.plan = plan
         self.sink = sink
         self.families = families
-        self.transport = transport
-        self.n_ints = 5 + 4 * len(sink.tool_names)
-        """Length of one shard's flattened cells vector."""
         self.tools = (
             suite_for_ecosystem(
                 plan.ecosystem, seed=plan.seed, families=families
@@ -950,27 +867,12 @@ class _ShardRun(TaskRun):
             if self.executor == "thread"
             else None
         )
-        self.ctx: _WorkerContext | None = None
-
-    def setup(self) -> None:
-        super().setup()
-        if self.executor != "process":
-            return
-        if self.transport == "shm":
-            self.ring = CellRing.create(
-                n_slots=min(self.window, len(self.queue)) or 1,
-                slot_ints=self.n_ints,
-            )
-        ring = self.ring
         self.ctx = _WorkerContext(
-            scale=self.plan.scale,
-            shard_size=self.plan.shard_size,
-            seed=self.plan.seed,
-            ecosystem=self.plan.ecosystem,
-            families=self.families,
-            ring_name=ring.name if ring is not None else None,
-            ring_slots=ring.n_slots if ring is not None else 0,
-            ring_slot_ints=ring.slot_ints if ring is not None else 0,
+            scale=plan.scale,
+            shard_size=plan.shard_size,
+            seed=plan.seed,
+            ecosystem=plan.ecosystem,
+            families=families,
         )
 
     def fault_ids(self, index: int) -> tuple[str, ...]:
@@ -983,19 +885,8 @@ class _ShardRun(TaskRun):
             self.families, fault, beat,
         )
 
-    def worker_call(self, index, attempt, fault, slot):
-        return (_evaluate_in_worker, self.ctx, index, attempt, fault, slot)
-
-    def unpack(self, outcome: _ShardOutcome, slot: int | None) -> _ShardOutcome:
-        if slot is None:
-            return outcome
-        cells = ShardCells.from_array(
-            self.ring.read(slot, self.n_ints),
-            self.sink.tool_names,
-            ecosystem=self.plan.ecosystem,
-        )
-        self.ring.release(slot)
-        return replace(outcome, cells=cells)
+    def worker_call(self, index, attempt, fault):
+        return (_evaluate_in_worker, self.ctx, index, attempt, fault)
 
     def accept(self, index, attempt, outcome):
         if self.executor == "process":

@@ -18,11 +18,10 @@ Two small pieces the sharded runner composes into crash safety:
   slow-but-alive one (beats keep arriving) — the distinction the
   Android-tools study showed real campaigns need.
 
-Slot lifecycle mirrors :class:`~repro.bench.engine.transport.CellRing`:
-the parent owns allocation (acquire on submit, release on completion),
-workers only ever write their assigned slot, and an abandoned (hung)
-worker's slot is deliberately *leaked* for the campaign's lifetime so a
-late write cannot corrupt a reused slot.
+The parent owns slot allocation (acquire on submit, release on
+completion), workers only ever write their assigned slot, and an
+abandoned (hung) worker's slot is deliberately *leaked* for the
+campaign's lifetime so a late write cannot corrupt a reused slot.
 """
 
 from __future__ import annotations
@@ -107,10 +106,10 @@ class HeartbeatBoard:
     """A board of per-slot worker heartbeats (int64 monotonic-ns stamps).
 
     ``create``/``attach`` build the shared-memory variant for process
-    executors (workers attach by segment name, exactly like the cell
-    ring); ``local`` builds a plain in-process array for the thread
-    executor.  ``0`` means "never beaten" — the parent then anchors the
-    hung check on submission time instead.
+    executors (workers attach by segment name); ``local`` builds a plain
+    in-process array for the thread executor.  ``0`` means "never
+    beaten" — the parent then anchors the hung check on submission time
+    instead.
     """
 
     def __init__(self, array: np.ndarray, shm=None, owner: bool = False):
@@ -150,7 +149,14 @@ class HeartbeatBoard:
 
     @classmethod
     def attach(cls, name: str, n_slots: int) -> "HeartbeatBoard":
-        """Attach (worker side) to a board the parent created."""
+        """Attach (worker side) to a board the parent created.
+
+        Python 3.11's ``resource_tracker`` registers segments on attach as
+        well as create.  Pool workers share the parent's tracker (see
+        :func:`~repro.bench.engine.transport.cached_process_pool`), which
+        keeps one name *set*, so this registration is an idempotent no-op
+        and the parent's :meth:`close` stays the single unlink.
+        """
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=name)

@@ -1,30 +1,19 @@
-"""Zero-copy result transport and pool reuse for parallel campaigns.
+"""Process-pool reuse and shared-memory segment naming.
 
-Two costs dominated the process executor before this module existed: every
-``run_sharded_campaign`` call paid full worker warm-up (interpreter fork,
-artifact-store construction, tool-suite build) for a pool it then threw
-away, and every result crossed the boundary as a pickled object graph.
-This module removes both:
+Process workers send every result home — shard cells included — inside
+the pickled :class:`~repro.bench.engine.runner.WorkerOutcome` their task
+returns.  What this module keeps is the state that outlives one task:
 
-- :class:`CellRing` — a ``multiprocessing.shared_memory`` ring of
-  fixed-size int64 slots.  Workers write each shard's flattened confusion
-  cells (:meth:`ShardCells.to_array
-  <repro.bench.streaming.ShardCells.to_array>` layout) straight into a
-  slot; the future returns only the slot number, and the parent rebuilds
-  the cells from the buffer — no pickling of the columnar payload.  The
-  parent owns slot allocation, so a ring sized to the submission window
-  (``jobs × chunk``) can never overflow.
-- a **process-pool cache** — pools persist across
-  ``run_sharded_campaign`` calls keyed by campaign identity, so worker
-  processes (and the per-worker stores, plans, and tool suites they pin)
-  amortize over a whole session instead of one call.  Pools are evicted
-  (and shut down) on LRU overflow, on a :class:`BrokenExecutor`, or at
-  interpreter exit.
-
-The pickle transport stays available behind ``transport="pickle"`` for
-spawn-unsafe platforms and as the parity reference: both transports must
-yield byte-identical cells (``tests/bench/test_streaming_campaign.py`` and
-``tools/check_bench.py`` assert it).
+- a **process-pool cache** — pools persist across runs keyed by campaign
+  identity, so worker warm-up (interpreter fork, artifact-store
+  construction, tool-suite build) and the per-worker stores, plans and
+  tool suites it produces amortize over a whole session instead of one
+  call.  Pools are evicted (and shut down) on LRU overflow, on a
+  :class:`BrokenExecutor`, or at interpreter exit;
+- **named segments** — every shared-memory segment the engine creates
+  (the watchdog's :class:`~repro.bench.engine.supervise.HeartbeatBoard`)
+  carries its creator's pid in its name, so a later campaign can reclaim
+  what a SIGKILL'd one leaked.
 """
 
 from __future__ import annotations
@@ -39,53 +28,16 @@ from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "TRANSPORTS",
-    "DEFAULT_CHUNK",
     "SHM_PREFIX",
-    "resolve_transport",
     "create_segment",
     "reclaim_leaked_segments",
-    "CellRing",
     "cached_process_pool",
     "evict_process_pool",
     "shutdown_cached_pools",
 ]
-
-#: Accepted ``transport=`` values: ``auto`` resolves per platform, ``shm``
-#: forces the shared-memory ring, ``pickle`` forces the legacy path.
-TRANSPORTS = ("auto", "shm", "pickle")
-
-#: Default submission-window multiplier: at most ``jobs × chunk`` shard
-#: futures are in flight, so workers never stall on parent-side folding
-#: while the parent's memory stays bounded by the window, not the corpus.
-DEFAULT_CHUNK = 4
-
-
-def resolve_transport(transport: str, executor: str) -> str:
-    """Resolve a ``transport=`` request to the concrete wire format.
-
-    ``auto`` picks the shared-memory ring for process pools on platforms
-    that fork (POSIX), and pickle elsewhere: under ``spawn`` the ring
-    still works but buys nothing over pickle for payloads this small,
-    and Windows keeps extra per-segment bookkeeping we do not test
-    against.  The thread executor never serializes results, so its
-    resolved transport is always ``pickle`` (the in-memory hand-off).
-    """
-    if transport not in TRANSPORTS:
-        raise ConfigurationError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
-        )
-    if executor != "process":
-        return "pickle"
-    if transport == "auto":
-        return "shm" if sys.platform != "win32" else "pickle"
-    return transport
-
 
 # ---------------------------------------------------------------------------
 # Named segments and crash-leak reclamation
@@ -127,7 +79,8 @@ def _pid_alive(pid: int) -> bool:
 def reclaim_leaked_segments() -> int:
     """Unlink shm segments leaked by dead campaign processes; return count.
 
-    A SIGKILL'd parent never runs :meth:`CellRing.close`, so its segments
+    A SIGKILL'd parent never runs :meth:`HeartbeatBoard.close
+    <repro.bench.engine.supervise.HeartbeatBoard.close>`, so its segments
     outlive it in ``/dev/shm`` until reboot.  Campaign start calls this:
     any ``repro-shm-<pid>-*`` entry whose creator pid is gone is ours to
     reclaim (unlinked directly — the dead owner's resource tracker is gone
@@ -153,105 +106,6 @@ def reclaim_leaked_segments() -> int:
             continue
         reclaimed += 1
     return reclaimed
-
-
-class CellRing:
-    """A shared-memory ring of fixed-size int64 result slots.
-
-    The parent :meth:`create`\\ s the ring and hands out slot numbers with
-    work items; a worker :meth:`attach`\\ es once, writes its flattened
-    cells into the assigned slot, and ships only the slot number back.
-    Slot lifecycle is entirely parent-side (allocate on submit, release
-    after fold — or on failure, since a failed task never wrote its slot),
-    and a completed future is the happens-before edge that makes the
-    worker's slot write visible, so no locking is needed on the buffer.
-    """
-
-    def __init__(
-        self, shm: shared_memory.SharedMemory, n_slots: int, slot_ints: int
-    ) -> None:
-        self._shm = shm
-        self.n_slots = n_slots
-        self.slot_ints = slot_ints
-        self._array = np.ndarray(
-            (n_slots, slot_ints), dtype=np.int64, buffer=shm.buf
-        )
-        self._owner = False
-        self._free: list[int] = []
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._shm.name
-
-    @classmethod
-    def create(cls, n_slots: int, slot_ints: int) -> "CellRing":
-        """Create (parent side) a ring of ``n_slots`` × ``slot_ints`` int64."""
-        if n_slots < 1 or slot_ints < 1:
-            raise ConfigurationError(
-                f"ring needs positive geometry, got {n_slots}x{slot_ints}"
-            )
-        shm = create_segment(n_slots * slot_ints * 8)
-        ring = cls(shm, n_slots, slot_ints)
-        ring._owner = True
-        ring._free = list(range(n_slots))
-        return ring
-
-    @classmethod
-    def attach(cls, name: str, n_slots: int, slot_ints: int) -> "CellRing":
-        """Attach (worker side) to a ring the parent created.
-
-        Python 3.11's ``resource_tracker`` registers shared-memory
-        segments on *attach* as well as create.  Pool workers share the
-        parent's tracker process (the fd is inherited), which keeps one
-        name *set* per resource type — so the attach-side registration is
-        an idempotent no-op there, and the parent's :meth:`close` remains
-        the single unlink/unregister.  (Unregistering here instead would
-        delete the parent's entry from that shared set and turn the
-        eventual unlink into a tracker error.)
-        """
-        return cls(shared_memory.SharedMemory(name=name), n_slots, slot_ints)
-
-    # -- parent-side slot lifecycle -----------------------------------------
-    @property
-    def free_slots(self) -> int:
-        """Slots currently available (abandoned tasks leak theirs)."""
-        return len(self._free)
-
-    def acquire(self) -> int:
-        """Claim a free slot for an in-flight task (parent side)."""
-        if not self._free:
-            raise ConfigurationError(
-                "cell ring exhausted — submission window exceeded ring size"
-            )
-        return self._free.pop()
-
-    def release(self, slot: int) -> None:
-        """Return a slot to the free list once its result is folded."""
-        self._free.append(slot)
-
-    # -- the buffer ----------------------------------------------------------
-    def write(self, slot: int, flat: np.ndarray) -> None:
-        """Write one flattened cells vector into ``slot`` (worker side)."""
-        values = np.asarray(flat, dtype=np.int64).reshape(-1)
-        if values.shape[0] > self.slot_ints:
-            raise ConfigurationError(
-                f"cells vector ({values.shape[0]} ints) exceeds ring slot "
-                f"({self.slot_ints} ints)"
-            )
-        self._array[slot, : values.shape[0]] = values
-
-    def read(self, slot: int, n_ints: int) -> np.ndarray:
-        """Copy ``n_ints`` of one slot out of the buffer (parent side)."""
-        return np.array(self._array[slot, :n_ints])
-
-    def close(self) -> None:
-        """Detach; the creating side also unlinks the segment."""
-        self._array = None
-        self._shm.close()
-        if self._owner:
-            self._shm.unlink()
-            self._owner = False
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,14 @@ class ShardCells:
                 )
 
     def to_array(self) -> np.ndarray:
-        """Flatten to the columnar wire layout (int64, length ``5 + 4n``).
+        """Flatten to the journal's record layout (int64, length ``5 + 4n``).
 
         Layout: ``[shard_index, n_units, n_sites, n_vulnerable, n_tools]``
         header followed by the four cell rows, each ``n_tools`` wide, in
-        ``tp, fp, fn, tn`` order.  Tool names and ecosystem are *not*
-        encoded — they are properties of the campaign, shared out of band
-        (the shared-memory transport pins them in the worker context) and
+        ``tp, fp, fn, tn`` order.  The write-ahead journal
+        (:mod:`repro.bench.engine.wal`) appends one such vector per folded
+        shard.  Tool names and ecosystem are *not* encoded — they are
+        properties of the campaign, kept once in the journal header and
         restored by :meth:`from_array`.
         """
         n = len(self.tool_names)

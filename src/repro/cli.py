@@ -68,7 +68,6 @@ from pathlib import Path
 
 from repro.bench.engine.scheduler import run_experiments
 from repro.bench.engine.spec import all_specs, experiment_ids
-from repro.bench.engine.transport import DEFAULT_CHUNK
 from repro.bench.result import DEFAULT_SEED
 
 __all__ = ["main", "build_parser"]
@@ -181,27 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
             "how --jobs parallelism executes: 'thread' (default) shares one "
             "in-memory artifact store; 'process' uses worker processes for "
             "CPU-bound speedups (pair with --cache-dir to share artifacts)"
-        ),
-    )
-    run_parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "pickle"),
-        default="auto",
-        help=(
-            "how --scale process-executor results cross the process "
-            "boundary: 'shm' ships cells through a shared-memory ring, "
-            "'pickle' uses the legacy object path, 'auto' (default) picks "
-            "shm where supported; both are byte-identical"
-        ),
-    )
-    run_parser.add_argument(
-        "--chunk",
-        type=int,
-        default=DEFAULT_CHUNK,
-        metavar="C",
-        help=(
-            f"submission window multiplier for --scale runs: keep up to "
-            f"jobs*C shard futures in flight (default {DEFAULT_CHUNK})"
         ),
     )
     run_parser.add_argument(
@@ -597,8 +575,6 @@ def _cmd_run_scale(
     inject_faults: list[str] | None,
     ecosystem: str | None = None,
     tool_families: list[str] | None = None,
-    transport: str = "auto",
-    chunk: int = DEFAULT_CHUNK,
     timeout: float | None = None,
     wal_path: Path | None = None,
 ) -> int:
@@ -626,8 +602,6 @@ def _cmd_run_scale(
         raise SystemExit(f"--scale must be >= 1, got {scale}")
     if shard_size < 1:
         raise SystemExit(f"--shard-size must be >= 1, got {shard_size}")
-    if chunk < 1:
-        raise SystemExit(f"--chunk must be >= 1, got {chunk}")
     faults = (
         FaultPlan(tuple(parse_fault(spec) for spec in inject_faults))
         if inject_faults
@@ -660,8 +634,6 @@ def _cmd_run_scale(
                 tool_families=(
                     tuple(tool_families) if tool_families is not None else None
                 ),
-                transport=transport,
-                chunk=chunk,
             )
     except (ConfigurationError, EngineError, PersistError) as error:
         raise SystemExit(f"run aborted — {error}") from error
@@ -771,11 +743,18 @@ def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
                 get_ecosystem(args.ecosystem)
             except ConfigurationError as error:
                 raise SystemExit(str(error)) from error
-        elif args.manifest is not None:
-            raise SystemExit(
-                "--ecosystem all runs several campaigns; --manifest would "
-                "overwrite one file per run — pick a single ecosystem"
-            )
+        else:
+            for flag, value in (
+                ("--manifest", args.manifest),
+                ("--trace", args.trace),
+                ("--metrics-out", args.metrics_out),
+            ):
+                if value is not None:
+                    raise SystemExit(
+                        "--ecosystem all runs several campaigns and each "
+                        f"would overwrite the {flag} file — pick a single "
+                        "ecosystem"
+                    )
     if args.tool_families is not None:
         if not sharded:
             raise SystemExit("--tool-family requires --scale")
@@ -957,16 +936,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                     args.executor,
                     args.cache_dir,
                     None,
-                    args.trace,
-                    args.metrics_out,
+                    None,
+                    None,
                     args.keep_going,
                     args.retries,
                     None,
                     args.inject_faults,
                     ecosystem=name,
                     tool_families=args.tool_families,
-                    transport=args.transport,
-                    chunk=args.chunk,
                     timeout=args.timeout,
                 )
                 worst = max(worst, code)
@@ -988,8 +965,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.inject_faults,
             ecosystem=args.ecosystem,
             tool_families=args.tool_families,
-            transport=args.transport,
-            chunk=args.chunk,
             timeout=args.timeout,
             wal_path=args.wal,
         )
@@ -997,10 +972,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise SystemExit("--shard-size requires --scale")
     if args.wal is not None:
         raise SystemExit("--wal applies to --scale runs")
-    if args.transport != "auto":
-        raise SystemExit("--transport applies to --scale runs")
-    if args.chunk != DEFAULT_CHUNK:
-        raise SystemExit("--chunk applies to --scale runs")
     if not args.experiments and args.resume is None:
         raise SystemExit(
             "experiment ids required (e.g. 'repro run R6 R11' or "

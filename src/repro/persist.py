@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +46,6 @@ __all__ = [
     "experiment_result_from_dict",
     "shard_cells_to_dict",
     "shard_cells_from_dict",
-    "shard_cells_from_array",
     "streaming_totals_to_dict",
     "streaming_totals_from_dict",
     "save_json",
@@ -392,19 +390,6 @@ def shard_cells_from_dict(payload: dict[str, Any]) -> ShardCells:
         n_vulnerable=payload["n_vulnerable"],
         ecosystem=payload.get("ecosystem", "web-services"),
     )
-
-
-def shard_cells_from_array(
-    array: Any, tool_names: Sequence[str], ecosystem: str = "web-services"
-) -> ShardCells:
-    """Rebuild shard cells from the flat int64 wire layout.
-
-    The buffer-backed counterpart of :func:`shard_cells_from_dict` for the
-    shared-memory transport: the array carries only the numbers (see
-    :meth:`ShardCells.to_array` for the layout), so the caller supplies the
-    campaign context the wire format deliberately omits.
-    """
-    return ShardCells.from_array(array, tool_names, ecosystem=ecosystem)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ __all__ = [
     "BenchTable",
     "bench_tables",
     "refresh_doc",
-    "render_engine_transport",
     "render_serve_fairness",
     "render_serve_latency",
+    "render_shard_executor",
     "render_shard_generation",
     "render_shard_throughput",
     "table_in_doc",
@@ -72,22 +72,19 @@ def render_shard_generation(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def render_engine_transport(payload: dict) -> str:
-    """The executor × transport wall-time table from the engine dump."""
-    section = payload["transport"]
+def render_shard_executor(payload: dict) -> str:
+    """The thread-vs-process shard campaign table from the engine dump."""
+    section = payload["shard_executor"]
     thread = section["thread_seconds"]
-    rows = [
-        ("thread", "in-memory", thread),
-        ("process", "pickle", section["process_pickle_seconds"]),
-        ("process", "shm ring", section["process_shm_seconds"]),
-    ]
     lines = [
-        "| executor | transport | wall (s) | vs thread |",
+        "| executor | median wall (s) | quartiles (s) | vs thread |",
         "|---|---|---|---|",
     ]
-    for executor, transport, seconds in rows:
+    for executor in ("thread", "process"):
+        seconds = section[f"{executor}_seconds"]
+        q1, q3 = section[f"{executor}_quartiles"]
         lines.append(
-            f"| {executor} | {transport} | {seconds:.2f} "
+            f"| {executor} | {seconds:.2f} | {q1:.2f}–{q3:.2f} "
             f"| {thread / seconds:.2f}x |"
         )
     return "\n".join(lines)
@@ -171,13 +168,13 @@ def bench_tables() -> tuple[BenchTable, ...]:
             render=render_shard_generation,
         ),
         BenchTable(
-            key="engine-transport",
+            key="engine-shard-executor",
             doc="docs/scaling.md",
-            begin="<!-- engine-bench:transport:begin -->",
-            end="<!-- engine-bench:transport:end -->",
+            begin="<!-- engine-bench:shard-executor:begin -->",
+            end="<!-- engine-bench:shard-executor:end -->",
             results="results/BENCH_engine.json",
-            section="transport",
-            render=render_engine_transport,
+            section="shard_executor",
+            render=render_shard_executor,
         ),
         BenchTable(
             key="serve-latency",

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.engine import runner
 from repro.bench.engine.faults import (
     ALWAYS,
     FaultPlan,
@@ -96,8 +97,7 @@ class TestWorkerSupervision:
         run = run_sharded_campaign(
             scale=400, shard_size=100, seed=SEED,
             jobs=2, executor="process", keep_going=True,
-            faults=kill_fault(2, attempts=ALWAYS),
-            quarantine_after=2, obs=obs,
+            faults=kill_fault(2, attempts=ALWAYS), obs=obs,
         )
         statuses = {r.index: r.status for r in run.manifest.records}
         assert statuses[2] == "quarantined"
@@ -119,7 +119,6 @@ class TestWorkerSupervision:
                 scale=400, shard_size=100, seed=SEED,
                 jobs=2, executor="process",
                 faults=kill_fault(2, attempts=ALWAYS),
-                quarantine_after=2,
             )
         assert isinstance(excinfo.value.__cause__, WorkerCrashError)
 
@@ -131,13 +130,13 @@ class TestWorkerSupervision:
                 faults=kill_fault(2),
             )
 
-    def test_pool_rebuild_budget_is_enforced(self):
+    def test_pool_rebuild_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_POOL_REBUILDS", 0)
         with pytest.raises(EngineError, match="rebuild"):
             run_sharded_campaign(
                 scale=400, shard_size=100, seed=SEED,
                 jobs=2, executor="process",
                 faults=kill_fault(2, attempts=1),
-                max_pool_rebuilds=0,
             )
 
 
@@ -367,32 +366,18 @@ class TestShmHygiene:
         finally:
             leaked.unlink(missing_ok=True)
 
-    def test_corrupt_transport_payload_is_retried(
-        self, monkeypatch, reference_400
-    ):
-        from repro.bench import streaming
-
-        real = streaming.ShardCells.from_array
-        state = {"failed": False}
-
-        def flaky(array, tool_names, **kwargs):
-            if not state["failed"]:
-                state["failed"] = True
-                raise ConfigurationError("injected transport corruption")
-            return real(array, tool_names, **kwargs)
-
-        monkeypatch.setattr(streaming.ShardCells, "from_array", flaky)
-        obs = Observability()
-        run = run_sharded_campaign(
-            scale=400, shard_size=100, seed=SEED,
-            jobs=2, executor="process", transport="shm",
-            retries=1, obs=obs,
-        )
-        assert run.ok
-        assert_parity(run, reference_400)
-        assert obs.metrics.counter_values("engine.transport.").get(
-            "engine.transport.corrupt"
-        ) == 1
+    def test_process_runs_leave_no_segment_behind(self):
+        """The watchdog's heartbeat board is the one segment a campaign
+        creates; it must be unlinked after a clean run and after one whose
+        worker was killed mid-shard."""
+        own = f"{SHM_PREFIX}-{os.getpid()}-*"
+        for faults in (None, kill_fault(1, attempts=1)):
+            run = run_sharded_campaign(
+                scale=200, shard_size=100, seed=SEED,
+                jobs=2, executor="process", timeout=30, faults=faults,
+            )
+            assert run.ok
+            assert sorted(Path("/dev/shm").glob(own)) == []
 
 
 def cli_env() -> dict:

@@ -371,16 +371,6 @@ class TestScale:
         with pytest.raises(SystemExit, match="--shard-size requires --scale"):
             main(["run", "R1", "--shard-size", "10"])
 
-    def test_transport_and_chunk_require_scale(self):
-        with pytest.raises(SystemExit, match="--transport applies to --scale"):
-            main(["run", "R1", "--transport", "shm"])
-        with pytest.raises(SystemExit, match="--chunk applies to --scale"):
-            main(["run", "R1", "--chunk", "2"])
-
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(SystemExit, match="--chunk must be >= 1"):
-            main(["run", "--scale", "60", "--shard-size", "30", "--chunk", "0"])
-
     def test_scale_accepts_timeout(self):
         code = main(
             ["run", "--scale", "60", "--shard-size", "30", "--quiet",
@@ -410,18 +400,6 @@ class TestScale:
             "source": "wal",
         }
         assert [r["status"] for r in payload["shards"]] == ["completed"] * 2
-
-    def test_transport_recorded_in_manifest(self, tmp_path, capsys):
-        manifest_path = tmp_path / "shards.json"
-        code = main(
-            ["run", "--scale", "60", "--shard-size", "30", "--quiet",
-             "--jobs", "2", "--executor", "process", "--transport", "shm",
-             "--manifest", str(manifest_path)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert payload["extra"]["transport"] == "shm"
 
     def test_invalid_scale_values_are_clean_errors(self):
         with pytest.raises(SystemExit, match="--scale must be >= 1"):
@@ -502,11 +480,13 @@ class TestEcosystemFlags:
         for name in ecosystem_names():
             assert f"[ecosystem {name}]" in err
 
-    def test_ecosystem_all_rejects_manifest(self, tmp_path):
-        with pytest.raises(SystemExit, match="--ecosystem all"):
+    @pytest.mark.parametrize("flag", ["--manifest", "--trace", "--metrics-out"])
+    def test_ecosystem_all_rejects_manifest(self, tmp_path, flag):
+        # Each ecosystem's campaign would rewrite the same output file.
+        with pytest.raises(SystemExit, match=f"--ecosystem all.*{flag}"):
             main(
                 ["run", "--scale", "30", "--ecosystem", "all",
-                 "--manifest", str(tmp_path / "m.json")]
+                 flag, str(tmp_path / "out.json")]
             )
 
 

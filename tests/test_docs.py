@@ -88,15 +88,18 @@ class TestBenchTableFreshness:
 
     ENGINE_PAYLOAD = {
         "schema": "repro/bench-engine@1",
-        "transport": {
+        "shard_executor": {
             "campaign_scale": 20000,
             "shard_size": 2000,
             "jobs": 4,
             "cpu_count": 4,
+            "rounds": 5,
+            "cache_hits": 0,
             "thread_seconds": 2.0,
-            "process_pickle_seconds": 2.5,
-            "process_shm_seconds": 1.0,
-            "shm_speedup_vs_thread": 2.0,
+            "thread_quartiles": [1.9, 2.1],
+            "process_seconds": 1.0,
+            "process_quartiles": [0.95, 1.05],
+            "process_speedup_vs_thread": 2.0,
             "cells_identical": True,
             "speedup_asserted": True,
         },

@@ -24,10 +24,9 @@ still works.  This checker runs three fast probes:
    dependents skip), write a structurally sound partial manifest, and
    exit non-zero.
 5. **Shard-scale smoke** — a small ``repro run --scale`` campaign on both
-   executors *and both process transports* (pickle and the shared-memory
-   ring) must exit 0, write a ``repro/shard-run@2`` manifest recording
-   the resolved transport, and produce per-shard cells identical across
-   every executor × transport combination.
+   executors must exit 0, write a ``repro/shard-run@2`` manifest with
+   every shard completed, and produce per-shard cells identical across
+   executors.
 6. **Cross-ecosystem smoke** — the same sharded run under a non-default
    ``--ecosystem`` must record the ecosystem and its tool families in the
    manifest, produce per-shard cells identical across executors, and
@@ -66,7 +65,7 @@ from pathlib import Path
 BENCH_JSON = Path(__file__).resolve().parent.parent / "results" / "BENCH_engine.json"
 BENCH_JSON_SCHEMA = "repro/bench-engine@1"
 #: Sections the docs cite; a partial bench run must not silently drop one.
-REQUIRED_SECTIONS = ("suite", "bootstrap", "executor", "tracing", "transport")
+REQUIRED_SECTIONS = ("suite", "bootstrap", "executor", "tracing", "shard_executor")
 
 SHARD_JSON = Path(__file__).resolve().parent.parent / "results" / "BENCH_shard.json"
 SHARD_JSON_SCHEMA = "repro/bench-shard@1"
@@ -216,37 +215,50 @@ def check_bench_json() -> list[str]:
                 f"bench json: recorded tracing overhead {overhead:.1%} is at "
                 f"or over the {guard:.0%} guard — the fast path regressed"
             )
-    transport = payload.get("transport", {})
-    if transport:
+    shard_executor = payload.get("shard_executor", {})
+    if shard_executor:
         missing = {
-            "campaign_scale", "shard_size", "jobs", "cpu_count",
-            "thread_seconds", "process_pickle_seconds", "process_shm_seconds",
-            "shm_speedup_vs_thread", "cells_identical", "speedup_asserted",
-        } - set(transport)
+            "campaign_scale", "shard_size", "jobs", "cpu_count", "rounds",
+            "cache_hits", "thread_seconds", "thread_quartiles",
+            "process_seconds", "process_quartiles",
+            "process_speedup_vs_thread", "cells_identical",
+            "speedup_asserted",
+        } - set(shard_executor)
         if missing:
             problems.append(
-                f"bench json: transport section lacks {sorted(missing)}"
+                f"bench json: shard_executor section lacks {sorted(missing)}"
             )
         else:
-            if transport["cells_identical"] is not True:
+            if shard_executor["cells_identical"] is not True:
                 problems.append(
-                    "bench json: transport section does not record "
-                    "byte-identical cells across executors and transports"
+                    "bench json: shard_executor section does not record "
+                    "byte-identical cells across executors"
                 )
-            # The >=1.5x shm claim only holds where parallelism is possible;
-            # the bench records whether it asserted it, keyed on cpu_count.
-            if transport["cpu_count"] >= 2 and not transport["speedup_asserted"]:
+            # A timed run that folded cached cells measures the cache, not
+            # the executor.
+            if shard_executor["cache_hits"] != 0:
                 problems.append(
-                    "bench json: transport dump comes from a multi-core "
-                    "machine but did not assert the shm speedup"
+                    "bench json: shard_executor timings include "
+                    f"{shard_executor['cache_hits']} cache hit(s)"
                 )
+            # The >=1.5x process claim only holds where parallelism is
+            # possible; the bench records whether it asserted it, keyed on
+            # cpu_count.
             if (
-                transport["speedup_asserted"]
-                and transport["shm_speedup_vs_thread"] < 1.5
+                shard_executor["cpu_count"] >= 2
+                and not shard_executor["speedup_asserted"]
             ):
                 problems.append(
-                    "bench json: asserted shm speedup below 1.5x "
-                    f"({transport['shm_speedup_vs_thread']})"
+                    "bench json: shard_executor dump comes from a multi-core "
+                    "machine but did not assert the process speedup"
+                )
+            if (
+                shard_executor["speedup_asserted"]
+                and shard_executor["process_speedup_vs_thread"] < 1.5
+            ):
+                problems.append(
+                    "bench json: asserted process speedup below 1.5x "
+                    f"({shard_executor['process_speedup_vs_thread']})"
                 )
     return problems
 
@@ -307,27 +319,21 @@ def check_shard_json() -> list[str]:
 
 
 def check_shard_scale() -> list[str]:
-    """Sharded runs per executor × transport: exit 0, identical totals."""
+    """Sharded runs per executor: exit 0, identical totals."""
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo_root / "src")
     problems: list[str] = []
-    totals_by_config: dict[str, list] = {}
-    configs = (
-        ("thread", "auto"),
-        ("process", "pickle"),
-        ("process", "shm"),
-    )
+    cells_by_executor: dict[str, list] = {}
+    executors = ("thread", "process")
     with tempfile.TemporaryDirectory() as tmp:
-        for executor, transport in configs:
-            label = f"{executor}/{transport}"
-            manifest_path = Path(tmp) / f"shards-{executor}-{transport}.json"
+        for executor in executors:
+            manifest_path = Path(tmp) / f"shards-{executor}.json"
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "repro", "run",
                     "--scale", "400", "--shard-size", "150",
                     "--jobs", "2", "--executor", executor,
-                    "--transport", transport,
                     "--quiet", "--manifest", str(manifest_path),
                 ],
                 env=env,
@@ -338,45 +344,35 @@ def check_shard_scale() -> list[str]:
             )
             if proc.returncode != 0:
                 problems.append(
-                    f"shard smoke ({label}): exited "
+                    f"shard smoke ({executor}): exited "
                     f"{proc.returncode}: {proc.stderr[-500:]}"
                 )
                 continue
             payload = json.loads(manifest_path.read_text(encoding="utf-8"))
             if payload.get("schema") != SHARD_MANIFEST_SCHEMA:
                 problems.append(
-                    f"shard smoke ({label}): manifest schema is "
+                    f"shard smoke ({executor}): manifest schema is "
                     f"{payload.get('schema')!r}, expected "
                     f"{SHARD_MANIFEST_SCHEMA!r}"
-                )
-                continue
-            # The manifest records the *resolved* transport: threads never
-            # serialize (always "pickle"), process honours the request.
-            expected_transport = "pickle" if executor == "thread" else transport
-            recorded = payload.get("extra", {}).get("transport")
-            if recorded != expected_transport:
-                problems.append(
-                    f"shard smoke ({label}): manifest records transport "
-                    f"{recorded!r}, expected {expected_transport!r}"
                 )
                 continue
             records = payload["shards"]
             if [r["status"] for r in records] != ["completed"] * 3:
                 problems.append(
-                    f"shard smoke ({label}): expected 3 completed shards, "
+                    f"shard smoke ({executor}): expected 3 completed shards, "
                     f"got {[r['status'] for r in records]}"
                 )
                 continue
-            totals_by_config[label] = [
+            cells_by_executor[executor] = [
                 [r["cells"]["tp"], r["cells"]["fp"], r["cells"]["fn"], r["cells"]["tn"]]
                 for r in records
             ]
-    if len(totals_by_config) == len(configs):
-        reference = totals_by_config["thread/auto"]
-        for label, totals in totals_by_config.items():
-            if totals != reference:
+    if len(cells_by_executor) == len(executors):
+        reference = cells_by_executor["thread"]
+        for executor, cells in cells_by_executor.items():
+            if cells != reference:
                 problems.append(
-                    f"shard smoke: per-shard cells under {label} differ "
+                    f"shard smoke: per-shard cells under {executor} differ "
                     "from the thread reference"
                 )
     return problems
@@ -859,8 +855,8 @@ def main() -> int:
         return 1
     print(
         "bench ok: kernels, resampler stream, generation parity, dump "
-        "schemas, fault-injection smoke, shard-scale smoke (executor x "
-        "transport parity), cross-ecosystem smoke, chaos-recovery "
+        "schemas, fault-injection smoke, shard-scale smoke (executor "
+        "parity), cross-ecosystem smoke, chaos-recovery "
         "smoke (worker-kill / parent-kill / torn-journal), and serve "
         "smoke (HTTP campaign parity) checked"
     )
