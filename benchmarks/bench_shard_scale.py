@@ -24,8 +24,12 @@ through :mod:`repro.reporting.benchtables` — the same renderer
 ``tools/check_docs.py`` uses to flag a stale table — so the docs always
 cite committed measurements.
 
+Each ``(scale, shard_size)`` configuration runs once per bench run: the
+throughput and memory sections cite the same measured rows, and
+``tools/check_bench.py`` rejects a dump where they disagree.
+
 The default run is a smoke-sized sweep; set ``BENCH_SHARD_FULL=1`` to
-measure the million-unit campaign the docs table reports (several minutes
+measure the million-unit campaign the docs table reports (under a minute
 on one core).
 """
 
@@ -37,6 +41,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.bench.streaming import (
     CampaignAccumulator,
@@ -52,8 +58,13 @@ BENCH_JSON_SCHEMA = "repro/bench-shard@1"
 SEED = 2015
 
 #: Smoke sweep (seconds); BENCH_SHARD_FULL=1 adds the scales the docs cite.
-SMOKE_SCALES = [(2_000, 500), (10_000, 2_000)]
+SMOKE_SCALES = [(2_000, 500), (10_000, 2_000), (2_000, 1_000), (20_000, 1_000)]
 FULL_SCALES = [(100_000, 10_000), (1_000_000, 10_000)]
+
+#: ``(small, large)`` corpora of the memory-bound check: 10x apart at one
+#: shard size, both measured by the throughput sweep.
+SMOKE_MEMORY_PAIR = ((2_000, 1_000), (20_000, 1_000))
+FULL_MEMORY_PAIR = ((100_000, 10_000), (1_000_000, 10_000))
 
 #: Child process that runs the real CLI path and reports its own rusage.
 _CHILD = """
@@ -117,6 +128,17 @@ def _measure_cli(scale: int, shard_size: int) -> dict:
     }
 
 
+@pytest.fixture(scope="module")
+def cli_rows() -> dict[tuple[int, int], dict]:
+    """One CLI measurement per ``(scale, shard_size)`` of the sweep,
+    shared by the throughput and memory benches."""
+    sweep = SMOKE_SCALES + (FULL_SCALES if _full() else [])
+    return {
+        (scale, shard_size): _measure_cli(scale, shard_size)
+        for scale, shard_size in sweep
+    }
+
+
 def _refresh_docs() -> None:
     """Regenerate every registered table that cites this bench's dump.
 
@@ -138,7 +160,7 @@ def test_bench_shard_streaming_exactness():
     accumulator = CampaignAccumulator([tool.name for tool in tools])
     for spec in plan:
         accumulator.fold(
-            evaluate_shard(tools, plan.generate(spec.index), spec.index)
+            evaluate_shard(tools, plan.columns(spec.index), spec.index)
         )
     streaming = accumulator.result()
     reference = materialized_totals(tools, plan)
@@ -158,12 +180,11 @@ def test_bench_shard_streaming_exactness():
     )
 
 
-def test_bench_shard_throughput(results_dir):
+def test_bench_shard_throughput(results_dir, cli_rows):
     """Units/second and peak RSS through the CLI, across scales."""
     from repro.reporting.tables import format_table
 
-    sweep = SMOKE_SCALES + (FULL_SCALES if _full() else [])
-    rows = [_measure_cli(scale, shard_size) for scale, shard_size in sweep]
+    rows = list(cli_rows.values())
     _update_bench_json("throughput", {"seed": SEED, "jobs": 1, "rows": rows})
     rendered = format_table(
         headers=["units", "shard size", "wall s", "units/s", "peak RSS MB"],
@@ -286,22 +307,22 @@ def test_bench_generation_throughput(results_dir):
     _refresh_docs()
 
 
-def test_bench_shard_memory_is_bounded():
-    """10x the corpus at fixed shard size must stay far from 10x the RSS."""
-    if _full():
-        small_scale, large_scale, shard_size = 100_000, 1_000_000, 10_000
-    else:
-        small_scale, large_scale, shard_size = 2_000, 20_000, 1_000
-    small = _measure_cli(small_scale, shard_size)
-    large = _measure_cli(large_scale, shard_size)
+def test_bench_shard_memory_is_bounded(cli_rows):
+    """10x the corpus at fixed shard size must stay far from 10x the RSS.
+
+    Reads the rows the throughput sweep measured, so the dump records one
+    answer per configuration.
+    """
+    small_key, large_key = FULL_MEMORY_PAIR if _full() else SMOKE_MEMORY_PAIR
+    small, large = cli_rows[small_key], cli_rows[large_key]
     growth = large["peak_rss_mb"] / small["peak_rss_mb"]
     _update_bench_json(
         "memory",
         {
-            "shard_size": shard_size,
+            "shard_size": small_key[1],
             "small": small,
             "large": large,
-            "corpus_growth": large_scale / small_scale,
+            "corpus_growth": large_key[0] / small_key[0],
             "rss_growth": round(growth, 2),
         },
     )

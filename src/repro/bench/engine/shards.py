@@ -2,12 +2,15 @@
 
 :func:`run_sharded_campaign` drives a :class:`~repro.workload.sharded.
 ShardPlan` through the engine's machinery the way the scheduler drives
-experiments: each shard is an independent sub-task that generates its
-workload, evaluates the tool suite, and returns a
+experiments: each shard is an independent sub-task that decodes its
+columnar record (:meth:`~repro.workload.sharded.ShardPlan.columns`),
+scores every tool's per-site flag mask over it, and returns a
 :class:`~repro.bench.streaming.ShardCells`; the parent folds cells into a
 :class:`~repro.bench.streaming.CampaignAccumulator` as they arrive and
 discards the shard, so peak memory is bounded by ``jobs`` shards, never by
-the corpus.
+the corpus.  No workload, report or detection object is built on this
+path; :func:`~repro.bench.streaming.materialized_totals` keeps the object
+path as the parity oracle.
 
 Shards run through the engine's one task loop
 (:class:`~repro.bench.engine.runner.TaskRun`, the same loop experiments
@@ -34,8 +37,9 @@ use), so engine semantics carry over wholesale:
   targets shards by :func:`shard_fault_id` (``S000003`` for shard 3), so
   ``--inject-fault s3:fail=1`` exercises the retry path deterministically;
 - **observability** — every shard runs under ``shard.generate`` /
-  ``shard.evaluate`` spans and feeds the ``engine.shards.*`` counters, so
-  a million-unit run is traceable in Perfetto like any experiment run;
+  ``shard.evaluate`` spans, with one ``shard.tool`` span per tool inside
+  the latter, and feeds the ``engine.shards.*`` counters, so a
+  million-unit run is traceable in Perfetto like any experiment run;
 - **crash safety** — a dead worker (``BrokenExecutor``) no longer aborts
   the campaign: the runner rebuilds the process pool (bounded rebuilds
   with exponential backoff) and re-dispatches the in-flight shards,
@@ -410,13 +414,15 @@ def _evaluate_one(
 ) -> _ShardOutcome:
     """Run one attempt of one shard against ``store``; return its outcome.
 
-    The cells are memoized under the shard's artifact key, so a warm store
-    (or a populated ``cache_dir``) satisfies the shard without generating
-    its workload; the fault hook fires *before* the cache lookup, so
-    injected failures exercise the retry path even on warm runs.  ``beat``
-    (when a heartbeat watchdog is armed) is called at phase boundaries —
-    task start, generate→evaluate, completion — so a hung shard goes
-    silent while a slow one keeps beating.
+    The shard is decoded to its columnar record and scored from the
+    tools' flag masks (:func:`~repro.bench.streaming.evaluate_shard`); no
+    workload object is built.  The cells are memoized under the shard's
+    artifact key, so a warm store (or a populated ``cache_dir``) satisfies
+    the shard without generating it; the fault hook fires *before* the
+    cache lookup, so injected failures exercise the retry path even on
+    warm runs.  ``beat`` (when a heartbeat watchdog is armed) is called
+    at phase boundaries — task start, generate→evaluate, completion — so
+    a hung shard goes silent while a slow one keeps beating.
     """
     obs = store.obs
     spec = plan.spec(index)
@@ -430,15 +436,15 @@ def _evaluate_one(
         with obs.tracer.span(
             "shard.generate", shard=index, units=spec.n_units, seed=spec.seed
         ):
-            workload = plan.generate(index)
-        obs.metrics.inc("engine.shards.units", len(workload.units))
-        obs.metrics.inc("engine.shards.sites", workload.n_sites)
+            columns = plan.columns(index)
+        obs.metrics.inc("engine.shards.units", columns.n_units)
+        obs.metrics.inc("engine.shards.sites", columns.n_sites)
         if beat is not None:
             beat()
         with obs.tracer.span(
             "shard.evaluate", shard=index, tools=len(tools)
         ):
-            return evaluate_shard(tools, workload, index)
+            return evaluate_shard(tools, columns, index, obs.tracer)
 
     cells = store.get_or_compute(
         _shard_key(plan, index, families),

@@ -5,8 +5,9 @@ whole workload and every tool report in memory at once — fine at the
 paper's scale, impossible at 10⁶ units.  This module provides the streaming
 counterpart for sharded corpora (:mod:`repro.workload.sharded`):
 
-- :func:`evaluate_shard` runs the ordinary scalar campaign over *one*
-  shard's workload and condenses it to a :class:`ShardCells` — four
+- :func:`evaluate_shard` scores *one* shard's columnar record
+  (:class:`~repro.workload.columnar.ShardColumns`) from every tool's
+  per-site flag mask and condenses it to a :class:`ShardCells` — four
   confusion cells per tool plus shard totals, a few hundred bytes;
 - :class:`CampaignAccumulator` folds shard cells into running per-tool
   totals and finalizes them as a :class:`StreamingCampaignResult`.
@@ -17,9 +18,12 @@ accumulator's totals are **bit-identical** to materializing every shard
 campaign in memory and summing scalar
 :class:`~repro.metrics.confusion.ConfusionMatrix` cells
 (:func:`materialized_totals`), for any fold order, executor, or retry
-history.  Each shard's cells in turn come from the unmodified
-:func:`~repro.bench.campaign.run_campaign`/``score_report`` path, so
-nothing about scoring semantics changes at scale; memory is bounded by one
+history.  Each shard's cells come from the tools'
+:meth:`~repro.tools.base.VulnerabilityDetectionTool.flag_sites` masks,
+which reach exactly the verdicts ``analyze`` reaches on the materialized
+workload; :func:`materialized_totals` runs the object path
+(:func:`~repro.bench.campaign.run_campaign`/``score_report``) and is the
+parity oracle the two paths are held to.  Memory is bounded by one
 shard, not by the corpus.
 """
 
@@ -30,14 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.campaign import CampaignResult, run_campaign
+from repro.bench.campaign import run_campaign
 from repro.errors import ConfigurationError
 from repro.metrics.base import Metric
 from repro.metrics.batch import ConfusionBatch
 from repro.metrics.confusion import ConfusionMatrix
+from repro.obs import Tracer
 from repro.tools.base import VulnerabilityDetectionTool
+from repro.workload.columnar import ShardColumns
 from repro.workload.ecosystems import DEFAULT_ECOSYSTEM
-from repro.workload.generator import Workload
 from repro.workload.sharded import ShardPlan
 
 __all__ = [
@@ -165,41 +170,49 @@ class ShardCells:
             ecosystem=ecosystem,
         )
 
-    @classmethod
-    def from_campaign(
-        cls, campaign: CampaignResult, shard_index: int, n_units: int
-    ) -> "ShardCells":
-        """Condense one shard's scored campaign to its cells."""
-        confusions = [result.confusion for result in campaign.results]
-        first = confusions[0]
-        return cls(
-            shard_index=shard_index,
-            tool_names=tuple(campaign.tool_names),
-            tp=tuple(int(cm.tp) for cm in confusions),
-            fp=tuple(int(cm.fp) for cm in confusions),
-            fn=tuple(int(cm.fn) for cm in confusions),
-            tn=tuple(int(cm.tn) for cm in confusions),
-            n_units=n_units,
-            n_sites=int(first.tp + first.fp + first.fn + first.tn),
-            n_vulnerable=int(first.tp + first.fn),
-            ecosystem=campaign.ecosystem,
-        )
+
+#: What :func:`evaluate_shard` records spans on when no tracer is given.
+_UNTRACED = Tracer(enabled=False, ring_capacity=0)
 
 
 def evaluate_shard(
     tools: Sequence[VulnerabilityDetectionTool],
-    workload: Workload,
+    columns: ShardColumns,
     shard_index: int,
+    tracer: Tracer = _UNTRACED,
 ) -> ShardCells:
-    """Run the ordinary scalar campaign over one shard; return its cells.
+    """Score every tool's flag mask over one shard; return its cells.
 
-    This *is* :func:`~repro.bench.campaign.run_campaign` — same tool order,
-    same site-exact :func:`~repro.bench.campaign.score_report` loop — so
-    streaming totals inherit the scalar path's semantics by construction.
+    Each tool's :meth:`~repro.tools.base.VulnerabilityDetectionTool.
+    flag_sites` mask is scored against the shard's vulnerable column
+    (``tp = |flags & vulnerable|``, ``fp = |flags| - tp``, ``fn`` and
+    ``tn`` the complements), under one ``shard.tool`` span per tool.  No
+    workload, report or detection object is built; the cells equal
+    :func:`~repro.bench.campaign.score_report` over ``analyze`` of the
+    materialized shard, which :func:`materialized_totals` computes.
     """
-    campaign = run_campaign(tools, workload)
-    return ShardCells.from_campaign(
-        campaign, shard_index=shard_index, n_units=len(workload.units)
+    vulnerable = columns.site_vulnerable
+    n_sites = columns.n_sites
+    n_vulnerable = int(np.count_nonzero(vulnerable))
+    tp: list[int] = []
+    fp: list[int] = []
+    for tool in tools:
+        with tracer.span("shard.tool", shard=shard_index, tool=tool.name):
+            flags = tool.flag_sites(columns)
+        hits = int(np.count_nonzero(flags & vulnerable))
+        tp.append(hits)
+        fp.append(int(np.count_nonzero(flags)) - hits)
+    return ShardCells(
+        shard_index=shard_index,
+        tool_names=tuple(tool.name for tool in tools),
+        tp=tuple(tp),
+        fp=tuple(fp),
+        fn=tuple(n_vulnerable - hits for hits in tp),
+        tn=tuple(n_sites - n_vulnerable - alarms for alarms in fp),
+        n_units=columns.n_units,
+        n_sites=n_sites,
+        n_vulnerable=n_vulnerable,
+        ecosystem=columns.config.ecosystem,
     )
 
 
@@ -392,11 +405,13 @@ def materialized_totals(
     """The in-memory reference path: every shard campaign alive at once.
 
     Materializes every shard workload *and* every scalar
-    :class:`~repro.bench.campaign.CampaignResult`, then sums their
-    confusion cells tool by tool in plain Python — no accumulator, no
-    float64 vectors.  The streaming path must match this bit for bit; the
-    parity tests and ``check_bench`` assert exactly that.  Only sensible
-    at small scale (memory grows with the corpus).
+    :class:`~repro.bench.campaign.CampaignResult` — the object path:
+    ``analyze`` reports scored site by site by ``score_report`` — then
+    sums their confusion cells tool by tool in plain Python — no
+    accumulator, no float64 vectors, no flag masks.  The streaming path
+    must match this bit for bit; the parity tests and ``check_bench``
+    assert exactly that.  Only sensible at small scale (memory grows with
+    the corpus).
     """
     workloads = [plan.generate(spec.index) for spec in plan]
     campaigns = [run_campaign(tools, workload) for workload in workloads]

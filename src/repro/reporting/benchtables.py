@@ -50,7 +50,7 @@ def render_shard_throughput(payload: dict) -> str:
     for row in payload["throughput"]["rows"]:
         lines.append(
             f"| {row['scale']:,} | {row['shard_size']:,} "
-            f"| {row['wall_seconds']:.1f} | {row['units_per_second']:,.0f} "
+            f"| {row['wall_seconds']:.2f} | {row['units_per_second']:,.0f} "
             f"| {row['peak_rss_mb']:.0f} |"
         )
     return "\n".join(lines)

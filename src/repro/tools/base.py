@@ -6,18 +6,80 @@ The benchmark harness scores reports against the workload's ground truth to
 obtain confusion matrices — at which point the tool's internals no longer
 matter, which is exactly the abstraction boundary the paper's metrics
 analysis sits on.
+
+Sharded campaigns never build that object graph.  They hand each tool a
+shard's :class:`~repro.workload.columnar.ShardColumns` and ask
+:meth:`VulnerabilityDetectionTool.flag_sites` for one bool per site row:
+the same verdicts :meth:`~VulnerabilityDetectionTool.analyze` reaches,
+without the statements, detections and confidences.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ToolError
 from repro.workload.code_model import SinkSite
 from repro.workload.generator import Workload
 
-__all__ = ["Detection", "DetectionReport", "VulnerabilityDetectionTool"]
+if TYPE_CHECKING:
+    from repro.workload.columnar import ShardColumns
+
+__all__ = [
+    "Detection",
+    "DetectionReport",
+    "VulnerabilityDetectionTool",
+    "check_confidence",
+    "replay_decisions",
+]
+
+_DOUBLE_SCALE = 2.0**-53
+
+
+def check_confidence(confidence: float) -> float:
+    """``confidence`` if it is a valid finding confidence, in (0, 1].
+
+    Tools validate their base confidence at construction, so a bad value
+    fails before any run instead of at the first :class:`Detection` the
+    object path builds (which :meth:`~VulnerabilityDetectionTool.
+    flag_sites` never does).
+    """
+    if not 0.0 < confidence <= 1.0:
+        raise ToolError(f"confidence={confidence} must be in (0, 1]")
+    return confidence
+
+
+def replay_decisions(seed: int, probabilities: np.ndarray) -> np.ndarray:
+    """Replay a stochastic tool's per-site decision loop from its stream.
+
+    The stochastic tools' :meth:`~VulnerabilityDetectionTool.analyze`
+    walks the sites it visits in order, draws ``rng.random() < p`` for
+    each and, for every hit, exactly one more word for the finding's
+    confidence.  This returns that loop's hit mask (one bool per entry of
+    ``probabilities``) for a generator seeded with ``seed``, drawing the
+    same raw PCG64 words: ``rng.random()`` is ``(word >> 11) * 2**-53``,
+    so every decision compares the identical double.  ``probabilities``
+    must be computed with the scalar code's float operation order — a
+    one-ulp difference flips ``u < p``.
+    """
+    n = int(probabilities.shape[0])
+    words = np.random.PCG64(seed).random_raw(2 * n)
+    uniforms = ((words >> np.uint64(11)) * _DOUBLE_SCALE).tolist()
+    hits: list[int] = []
+    pos = 0
+    for index, probability in enumerate(probabilities.tolist()):
+        if uniforms[pos] < probability:
+            hits.append(index)
+            pos += 2  # the decision word and the confidence word
+        else:
+            pos += 1
+    flags = np.zeros(n, dtype=bool)
+    flags[hits] = True
+    return flags
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +134,21 @@ class VulnerabilityDetectionTool(ABC):
         parameters (stochastic tools derive per-workload substreams from
         their seed), so campaigns are repeatable.
         """
+
+    def flag_sites(self, columns: "ShardColumns") -> np.ndarray:
+        """One bool per site row of ``columns``: does the tool flag it?
+
+        The columnar form of :meth:`analyze`: element ``i`` is ``True``
+        exactly when ``analyze`` of the materialized workload reports the
+        ``i``-th site of ``truth.sites`` (generation order).  Sharded
+        campaigns score these masks directly.  A tool without a columnar
+        form is refused rather than evaluated some other way.
+        """
+        raise ToolError(
+            f"{type(self).__name__} has no columnar evaluation "
+            f"(flag_sites); sharded campaigns cannot score tool "
+            f"{self.name!r}"
+        )
 
     def _report(self, workload: Workload, detections: list[Detection]) -> DetectionReport:
         """Package ``detections`` into a report, sorted for determinism."""

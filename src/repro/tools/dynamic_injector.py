@@ -19,9 +19,18 @@ the tool's seed and the workload name, so campaigns remain repeatable.
 
 from __future__ import annotations
 
-from repro._rng import derive_seed, spawn
+import numpy as np
+
+from repro._rng import derive_seed
 from repro.errors import ToolError
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+from repro.tools.base import (
+    Detection,
+    DetectionReport,
+    VulnerabilityDetectionTool,
+    check_confidence,
+    replay_decisions,
+)
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
 from repro.workload.taxonomy import TRAITS
 
@@ -51,11 +60,17 @@ class DynamicInjector(VulnerabilityDetectionTool):
         self.difficulty_penalty = difficulty_penalty
         self.false_alarm_rate = false_alarm_rate
         self.seed = seed
-        self.confidence = confidence
+        self.confidence = check_confidence(confidence)
+
+    def _stream_seed(self, workload_name: str) -> int:
+        """Seed of this tool's random stream over the named workload."""
+        return derive_seed(
+            derive_seed(self.seed, self.name), f"dynamic:{workload_name}"
+        )
 
     def analyze(self, workload: Workload) -> DetectionReport:
         """Probe each site with seeded payloads; report triggered faults."""
-        rng = spawn(derive_seed(self.seed, self.name), f"dynamic:{workload.name}")
+        rng = np.random.default_rng(self._stream_seed(workload.name))
         detections: list[Detection] = []
         for site in workload.truth.sites:
             profile = workload.profiles[site]
@@ -79,3 +94,21 @@ class DynamicInjector(VulnerabilityDetectionTool):
                     confidence = 0.35 + 0.4 * rng.random()
                     detections.append(Detection(site=site, confidence=confidence))
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`: the same hit probabilities, replayed
+        over the same stream (see :func:`~repro.tools.base.replay_decisions`)."""
+        detectability = np.array(
+            [TRAITS[t].base_dynamic_detectability for t in columns.type_order]
+        )[columns.site_type]
+        hit_probability = (
+            detectability
+            * self.payload_coverage
+            * (1.0 - self.difficulty_penalty * columns.site_difficulty)
+        )
+        probabilities = np.where(
+            columns.site_vulnerable, hit_probability, self.false_alarm_rate
+        )
+        return replay_decisions(
+            self._stream_seed(columns.config.name), probabilities
+        )

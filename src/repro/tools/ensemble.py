@@ -18,8 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.errors import ToolError
 from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
 
 __all__ = ["EnsembleTool"]
@@ -61,3 +64,11 @@ class EnsembleTool(VulnerabilityDetectionTool):
             if count >= self.quorum
         ]
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`: count member flags per site, keep
+        the sites with at least ``quorum`` votes."""
+        votes = np.zeros(columns.n_sites, dtype=np.int64)
+        for member in self.members:
+            votes += member.flag_sites(columns)
+        return votes >= self.quorum

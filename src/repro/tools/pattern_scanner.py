@@ -14,9 +14,18 @@ different data path (including another site in the same unit).
 
 from __future__ import annotations
 
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+import numpy as np
+
+from repro.tools.base import (
+    Detection,
+    DetectionReport,
+    VulnerabilityDetectionTool,
+    check_confidence,
+)
 from repro.workload.code_model import CodeUnit, SinkSite, StatementKind
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
+from repro.workload.taxonomy import VulnerabilityType
 
 __all__ = ["PatternScanner"]
 
@@ -32,7 +41,7 @@ class PatternScanner(VulnerabilityDetectionTool):
     ) -> None:
         super().__init__(name)
         self.respect_sanitizers = respect_sanitizers
-        self.confidence = confidence
+        self.confidence = check_confidence(confidence)
 
     def analyze(self, workload: Workload) -> DetectionReport:
         """Flag every site whose code matches a known vulnerable pattern."""
@@ -40,6 +49,43 @@ class PatternScanner(VulnerabilityDetectionTool):
         for unit in workload.units:
             detections.extend(self._scan_unit(unit))
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`: every site of a unit with an input.
+
+        A unit has an INPUT head exactly when one of its sites is
+        vulnerable or a decoy.  With ``respect_sanitizers``, a site whose
+        own class is sanitized at or before it in the unit (its decoy
+        sanitizer, or any earlier site's decoy or cross-class sanitizer)
+        is dropped.
+        """
+        tainted_head = columns.site_vulnerable | columns.site_decoy
+        unit_has_input = np.logical_or.reduceat(
+            tainted_head, columns.unit_site_offset
+        )
+        flags = unit_has_input[columns.site_unit]
+        if self.respect_sanitizers:
+            flags &= ~self._sanitized_at(columns)
+        return flags
+
+    @staticmethod
+    def _sanitized_at(columns: ShardColumns) -> np.ndarray:
+        """Per site: a same-class sanitizer at or before it in its unit."""
+        n_sites = columns.n_sites
+        rows = np.arange(n_sites)
+        own = columns.site_taxonomy_type
+        cross = columns.site_cross_type.astype(np.int64)
+        # sanitizes[i, c]: site i's statements sanitize class c.
+        sanitizes = np.zeros((n_sites + 1, len(VulnerabilityType)), np.int64)
+        decoy = columns.site_decoy
+        sanitizes[rows[decoy] + 1, own[decoy]] = 1
+        has_cross = cross >= 0
+        sanitizes[rows[has_cross] + 1, cross[has_cross]] = 1
+        # Row r of the prefix count covers site rows < r; subtracting the
+        # unit's first row makes it a per-unit (segmented) count.
+        seen = np.cumsum(sanitizes, axis=0)
+        unit_start = columns.unit_site_offset[columns.site_unit]
+        return seen[rows + 1, own] > seen[unit_start, own]
 
     def _scan_unit(self, unit: CodeUnit) -> list[Detection]:
         has_input = any(s.kind is StatementKind.INPUT for s in unit.statements)

@@ -26,9 +26,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro._rng import derive_seed, spawn
+from repro._rng import derive_seed
 from repro.errors import ToolError
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+from repro.tools.base import (
+    Detection,
+    DetectionReport,
+    VulnerabilityDetectionTool,
+    replay_decisions,
+)
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
 
 __all__ = ["is_dependency_unit", "dependency_mask", "ScaMatcher"]
@@ -103,9 +109,15 @@ class ScaMatcher(VulnerabilityDetectionTool):
         self.dependency_fraction = dependency_fraction
         self.seed = seed
 
+    def _stream_seed(self, workload_name: str) -> int:
+        """Seed of this tool's random stream over the named workload."""
+        return derive_seed(
+            derive_seed(self.seed, self.name), f"sca:{workload_name}"
+        )
+
     def analyze(self, workload: Workload) -> DetectionReport:
         """Match dependency-shaped units against the simulated database."""
-        rng = spawn(derive_seed(self.seed, self.name), f"sca:{workload.name}")
+        rng = np.random.default_rng(self._stream_seed(workload.name))
         detections: list[Detection] = []
         # The hash partition is per unit, not per site; memoize it so
         # multi-site units hash once (verdicts, and therefore the RNG
@@ -131,3 +143,21 @@ class ScaMatcher(VulnerabilityDetectionTool):
                     Detection(site=site, confidence=0.6 + 0.4 * rng.random())
                 )
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`: only sites of dependency-shaped units
+        draw, replayed over the same stream (see
+        :func:`~repro.tools.base.replay_decisions`)."""
+        visible = columns.dependency_mask(self.dependency_fraction)[
+            columns.site_unit
+        ]
+        probabilities = np.where(
+            columns.site_vulnerable[visible],
+            self.db_coverage,
+            self.version_noise,
+        )
+        flags = np.zeros(columns.n_sites, dtype=bool)
+        flags[visible] = replay_decisions(
+            self._stream_seed(columns.config.name), probabilities
+        )
+        return flags

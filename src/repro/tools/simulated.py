@@ -15,9 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._rng import derive_seed, spawn
+from repro._rng import derive_seed
 from repro.errors import ToolError
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+from repro.tools.base import (
+    Detection,
+    DetectionReport,
+    VulnerabilityDetectionTool,
+    replay_decisions,
+)
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
 from repro.workload.taxonomy import VulnerabilityType
 
@@ -79,9 +85,15 @@ class SimulatedTool(VulnerabilityDetectionTool):
         self.profile = profile
         self.seed = seed
 
+    def _stream_seed(self, workload_name: str) -> int:
+        """Seed of this tool's random stream over the named workload."""
+        return derive_seed(
+            derive_seed(self.seed, self.name), f"simulated:{workload_name}"
+        )
+
     def analyze(self, workload: Workload) -> DetectionReport:
         """Sample detections at this tool's configured TPR/FPR, seeded per workload."""
-        rng = spawn(derive_seed(self.seed, self.name), f"simulated:{workload.name}")
+        rng = np.random.default_rng(self._stream_seed(workload.name))
         detections: list[Detection] = []
         for site in workload.truth.sites:
             site_profile = workload.profiles[site]
@@ -99,6 +111,27 @@ class SimulatedTool(VulnerabilityDetectionTool):
                     )
                 )
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`: the profile's per-site probabilities,
+        replayed over the same stream (see
+        :func:`~repro.tools.base.replay_decisions`)."""
+        profile = self.profile
+        types = columns.type_order
+        recall = np.array(
+            [profile.recall_by_type.get(t, profile.recall) for t in types]
+        )[columns.site_type]
+        fpr = np.array(
+            [profile.fpr_by_type.get(t, profile.fpr) for t in types]
+        )[columns.site_type]
+        # ToolProfile.detection_probability's operation order, elementwise.
+        detection = recall * (
+            1.0 - profile.difficulty_sensitivity * columns.site_difficulty
+        )
+        probabilities = np.where(columns.site_vulnerable, detection, fpr)
+        return replay_decisions(
+            self._stream_seed(columns.config.name), probabilities
+        )
 
     def _confidence(self, rng: np.random.Generator, vulnerable: bool) -> float:
         """Draw a finding confidence.

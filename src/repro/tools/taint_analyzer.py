@@ -24,8 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
+import numpy as np
+
+from repro.tools.base import (
+    Detection,
+    DetectionReport,
+    VulnerabilityDetectionTool,
+    check_confidence,
+)
 from repro.workload.code_model import CodeUnit, SinkSite, StatementKind
+from repro.workload.columnar import ShardColumns
 from repro.workload.generator import Workload
 from repro.workload.taxonomy import VulnerabilityType
 
@@ -58,7 +66,7 @@ class TaintAnalyzer(VulnerabilityDetectionTool):
         self.max_chain_depth = max_chain_depth
         self.trust_sanitizers = trust_sanitizers
         self.concat_taint_loss = concat_taint_loss
-        self.confidence = confidence
+        self.confidence = check_confidence(confidence)
 
     def analyze(self, workload: Workload) -> DetectionReport:
         """Trace source-to-sink flows; flag sites reached by untrusted data."""
@@ -66,6 +74,30 @@ class TaintAnalyzer(VulnerabilityDetectionTool):
         for unit in workload.units:
             detections.extend(self._analyze_unit(unit))
         return self._report(workload, detections)
+
+    def flag_sites(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar :meth:`analyze`, from each site's shape.
+
+        Taint starts at sites with an INPUT head (vulnerable or decoy).
+        A trusted decoy sanitizer removes the sink's class; every hop,
+        sanitizer and post-sanitizer assign adds one to the depth the
+        budget caps; under ``concat_taint_loss`` a concat hop whose
+        tainted operand comes second loses the flow.
+        """
+        flags = columns.site_vulnerable | columns.site_decoy
+        if self.trust_sanitizers:
+            flags &= ~columns.site_decoy
+        if self.max_chain_depth is not None:
+            depth = (
+                columns.site_chain
+                + columns.site_cross
+                + columns.site_decoy
+                + columns.site_post_assign
+            )
+            flags &= depth <= self.max_chain_depth
+        if self.concat_taint_loss:
+            flags &= (columns.site_branch_mask & ~columns.site_order_mask) == 0
+        return flags
 
     def _analyze_unit(self, unit: CodeUnit) -> list[Detection]:
         environment: dict[str, _Taint] = {}

@@ -174,6 +174,15 @@ class ShardColumns:
         """bool ``(n_sites,)`` — site carries a cross-class sanitizer."""
         return self.site_cross_type >= 0
 
+    @property
+    def site_taxonomy_type(self) -> np.ndarray:
+        """int64 ``(n_sites,)`` — :attr:`site_type` as a taxonomy-order
+        index, the code space of :attr:`site_cross_type`."""
+        enum_codes = np.array(
+            [_ENUM_ORDER.index(t) for t in self.type_order], dtype=np.int64
+        )
+        return enum_codes[self.site_type]
+
     def unit_ids(self) -> list[str]:
         """Unit ids in unit order (``{name}-u{index:05d}``)."""
         name = self.config.name
@@ -425,12 +434,8 @@ def _verify_labels(columns: ShardColumns) -> None:
     the scalar path.
     """
     tainted_head = columns.site_vulnerable | columns.site_decoy
-    enum_codes = np.array(
-        [_ENUM_ORDER.index(t) for t in columns.type_order], dtype=np.int8
-    )
-    own_code = enum_codes[columns.site_type.astype(np.int64)]
     same_class_sanitizer = columns.site_decoy | (
-        columns.site_cross_type == own_code
+        columns.site_cross_type == columns.site_taxonomy_type
     )
     oracle_says = tainted_head & ~same_class_sanitizer
     if not np.array_equal(oracle_says, columns.site_vulnerable):

@@ -152,10 +152,11 @@ class ShardPlan:
         Independent of every other shard: the same ``(plan, index)`` pair
         produces the same workload whether generated alone, in order, or in
         a worker process.  Runs through the columnar batch path whenever
-        the base config supports it (every registered ecosystem does), so
-        both the thread and the process executors of
-        :func:`repro.bench.engine.shards.run_sharded_campaign` generate at
-        batch speed without doing anything.
+        the base config supports it (every registered ecosystem does).
+        This is the object path: ``analyze``-based consumers and the
+        parity oracle :func:`repro.bench.streaming.materialized_totals`
+        use it, while :func:`repro.bench.engine.shards.run_sharded_campaign`
+        scores :meth:`columns` and never builds the workload.
         """
         return generate_workload(self.config_for(index))
 
@@ -163,9 +164,9 @@ class ShardPlan:
         """Shard ``index`` as a columnar record, skipping materialization.
 
         Returns the :class:`~repro.workload.columnar.ShardColumns` the
-        batch path decodes for this shard — for consumers that want the
-        arrays (labels, difficulty, dependency mask) without paying for
-        the object graph.  Requires the base config to be within
+        batch path decodes for this shard — what sharded campaigns score
+        tools over, without paying for the object graph.  Requires the
+        base config to be within
         :func:`~repro.workload.columnar.supports_batch`.
         """
         from repro.workload.columnar import decode_columns

@@ -35,12 +35,12 @@ class TestCellThreading:
     def test_cells_default_to_web_services(self):
         assert _cells().ecosystem == DEFAULT_ECOSYSTEM
 
-    def test_from_campaign_carries_the_ecosystem(self):
+    def test_evaluate_shard_carries_the_ecosystem(self):
         plan = plan_shards(
             scale=20, shard_size=20, seed=SEED, ecosystem="npm-deps"
         )
         tools = suite_for_ecosystem("npm-deps", seed=SEED)
-        cells = evaluate_shard(tools, plan.generate(0), 0)
+        cells = evaluate_shard(tools, plan.columns(0), 0)
         assert cells.ecosystem == "npm-deps"
 
     def test_totals_carry_the_ecosystem(self):

@@ -52,7 +52,7 @@ class TestStreamingParity:
         accumulator = CampaignAccumulator([tool.name for tool in tools])
         for spec in plan:
             accumulator.fold(
-                evaluate_shard(tools, plan.generate(spec.index), spec.index)
+                evaluate_shard(tools, plan.columns(spec.index), spec.index)
             )
         streaming = accumulator.result()
         reference = materialized_totals(tools, plan)
@@ -65,7 +65,7 @@ class TestStreamingParity:
         plan = plan_shards(scale=120, shard_size=30, seed=SEED)
         tools = reference_suite(seed=SEED)
         cells = [
-            evaluate_shard(tools, plan.generate(spec.index), spec.index)
+            evaluate_shard(tools, plan.columns(spec.index), spec.index)
             for spec in plan
         ]
         forward = CampaignAccumulator([tool.name for tool in tools])
@@ -122,7 +122,7 @@ class TestTransportParity:
         tools = reference_suite(seed=SEED)
         for spec in plan:
             cells = evaluate_shard(
-                tools, plan.generate(spec.index), spec.index
+                tools, plan.columns(spec.index), spec.index
             )
             rebuilt = ShardCells.from_array(
                 cells.to_array(), cells.tool_names, ecosystem=cells.ecosystem
@@ -287,5 +287,20 @@ class TestShardFaultTolerance:
         assert counters["engine.shards.scheduled"] == 3
         assert counters["engine.shards.completed"] == 3
         assert counters["engine.shards.units"] == 90
-        names = {span.name for span in obs.tracer.spans}
+        spans = obs.tracer.spans
+        names = {span.name for span in spans}
         assert {"engine.shard_run", "shard.generate", "shard.evaluate"} <= names
+        # One shard.tool span per (shard, tool), nested in shard.evaluate.
+        evaluate_ids = {
+            span.span_id for span in spans if span.name == "shard.evaluate"
+        }
+        tool_spans = [span for span in spans if span.name == "shard.tool"]
+        assert all(span.parent_id in evaluate_ids for span in tool_spans)
+        keys = sorted(
+            (dict(span.args)["shard"], dict(span.args)["tool"])
+            for span in tool_spans
+        )
+        tool_names = [tool.name for tool in reference_suite(seed=SEED)]
+        assert keys == sorted(
+            (shard, tool) for shard in range(3) for tool in tool_names
+        )

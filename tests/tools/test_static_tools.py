@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.campaign import score_report
+from repro.errors import ToolError
 from repro.tools.pattern_scanner import PatternScanner
 from repro.tools.taint_analyzer import TaintAnalyzer
 from repro.workload.generator import WorkloadConfig, generate_workload
@@ -49,6 +50,14 @@ class TestPatternScanner:
 
     def test_deterministic(self, workload):
         assert PatternScanner().analyze(workload) == PatternScanner().analyze(workload)
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.2, 1.5])
+    def test_confidence_out_of_range_rejected(self, confidence):
+        # Rejected at construction, not at the first finding: the columnar
+        # path builds no Detection that could catch it later.
+        with pytest.raises(ToolError, match="confidence"):
+            PatternScanner(confidence=confidence)
+        assert PatternScanner(confidence=1.0).confidence == 1.0
 
     def test_report_metadata(self, workload):
         report = PatternScanner(name="scanner-x").analyze(workload)
@@ -101,6 +110,13 @@ class TestTaintAnalyzer:
         cm = score_report(lossy, workload.truth)
         assert cm.fp == 0
         assert cm.fn > 0
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.2, 1.5])
+    def test_confidence_out_of_range_rejected(self, confidence):
+        # confidence=0.0 used to be clamped to 0.05 at every finding.
+        with pytest.raises(ToolError, match="confidence"):
+            TaintAnalyzer(confidence=confidence)
+        assert TaintAnalyzer(confidence=1.0).confidence == 1.0
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

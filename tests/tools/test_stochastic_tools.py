@@ -79,6 +79,12 @@ class TestDynamicInjector:
         with pytest.raises(ToolError):
             DynamicInjector(**kwargs)
 
+    @pytest.mark.parametrize("confidence", [0.0, -0.2, 1.5])
+    def test_confidence_out_of_range_rejected(self, confidence):
+        with pytest.raises(ToolError, match="confidence"):
+            DynamicInjector(confidence=confidence)
+        assert DynamicInjector(confidence=1.0).confidence == 1.0
+
 
 class TestToolProfile:
     def test_valid(self):

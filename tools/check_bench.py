@@ -16,9 +16,14 @@ still works.  This checker runs three fast probes:
    byte-identical output to the scalar reference on a small corpus, and
    is not slower than it (the 10x claim lives in the full bench; CI only
    guards the machinery and the direction).
+2c. **Evaluation parity** — for every registered ecosystem, a 2-shard
+   ``run_sharded_campaign`` (tools scored from ``flag_sites`` masks over
+   shard columns) equals ``materialized_totals`` (``analyze`` reports
+   over materialized workloads, scored by ``score_report``) exactly.
 3. **Dump schema** — ``results/BENCH_engine.json`` and
    ``results/BENCH_shard.json``, when present, carry the expected schema
-   tags and the sections the docs cite.
+   tags and the sections the docs cite; the shard dump's memory rows
+   must be the throughput rows of the same ``(scale, shard_size)``.
 4. **Fault-injection smoke** — a real ``repro run --keep-going`` with an
    injected mid-graph failure must isolate it (independents complete,
    dependents skip), write a structurally sound partial manifest, and
@@ -176,6 +181,36 @@ def check_generation_smoke() -> list[str]:
     return problems
 
 
+def check_evaluation_parity() -> list[str]:
+    """Columnar evaluation == the object path, per registered ecosystem."""
+    from repro.bench.engine.shards import run_sharded_campaign
+    from repro.bench.streaming import materialized_totals
+    from repro.tools.families import suite_for_ecosystem
+    from repro.workload.ecosystems import ecosystem_names
+    from repro.workload.sharded import plan_shards
+
+    seed, scale, shard_size = 2015, 240, 120
+    problems = []
+    for ecosystem in ecosystem_names():
+        run = run_sharded_campaign(
+            scale=scale, shard_size=shard_size, seed=seed, ecosystem=ecosystem
+        )
+        reference = materialized_totals(
+            suite_for_ecosystem(ecosystem, seed=seed),
+            plan_shards(
+                scale=scale, shard_size=shard_size, seed=seed,
+                ecosystem=ecosystem,
+            ),
+        )
+        if run.totals != reference:
+            problems.append(
+                f"evaluation parity: {ecosystem} sharded totals (flag_sites "
+                "masks) differ from materialized_totals (analyze + "
+                "score_report)"
+            )
+    return problems
+
+
 def check_bench_json() -> list[str]:
     """The committed dump must be schema-tagged and structurally complete."""
     if not BENCH_JSON.exists():
@@ -294,6 +329,19 @@ def check_shard_json() -> list[str]:
         } - set(row)
         if missing:
             problems.append(f"shard json: throughput row lacks {sorted(missing)}")
+    measured = {(row.get("scale"), row.get("shard_size")): row for row in rows}
+    for label in ("small", "large"):
+        row = payload.get("memory", {}).get(label)
+        if row is None:
+            problems.append(f"shard json: memory section lacks {label!r}")
+            continue
+        if measured.get((row.get("scale"), row.get("shard_size"))) != row:
+            problems.append(
+                f"shard json: memory {label} row for "
+                f"({row.get('scale')}, {row.get('shard_size')}) is not the "
+                "throughput row of that configuration — one measurement "
+                "per configuration"
+            )
     generation = payload.get("generation", {}).get("rows", [])
     if "generation" in payload and not generation:
         problems.append("shard json: generation section has no rows")
@@ -838,6 +886,7 @@ def main() -> int:
         check_kernel_parity()
         + check_resampler_identity()
         + check_generation_smoke()
+        + check_evaluation_parity()
         + check_bench_json()
         + check_shard_json()
         + check_ecosystems_json()
@@ -854,9 +903,10 @@ def main() -> int:
         print(f"{len(problems)} benchmark problem(s)", file=sys.stderr)
         return 1
     print(
-        "bench ok: kernels, resampler stream, generation parity, dump "
-        "schemas, fault-injection smoke, shard-scale smoke (executor "
-        "parity), cross-ecosystem smoke, chaos-recovery "
+        "bench ok: kernels, resampler stream, generation parity, "
+        "evaluation parity, dump schemas, fault-injection smoke, "
+        "shard-scale smoke (executor parity), cross-ecosystem smoke, "
+        "chaos-recovery "
         "smoke (worker-kill / parent-kill / torn-journal), and serve "
         "smoke (HTTP campaign parity) checked"
     )
