@@ -5,16 +5,19 @@ campaign, the properties matrix, whole experiment results — are pure
 functions of a small parameter tuple (seed, sizes, registry).  The store
 memoizes them under explicit keys so every downstream experiment reuses one
 computation, records every request as a hit/miss event for the run
-manifest, and optionally persists workloads and campaigns to disk through
-:mod:`repro.persist`'s schema-tagged JSON so a warm re-run skips tool
-execution entirely.
+manifest, and optionally persists the artifacts that are dearer to
+recompute than to load — scored campaigns and shard cells, the kinds
+requested with an :class:`ArtifactCodec` — to disk through
+:mod:`repro.persist`'s schema-tagged JSON, so a warm re-run skips tool
+execution entirely.  Workloads stay memory-only: regenerating one from its
+seed is several times cheaper than loading it back.
 
 Thread safety: a per-key lock serializes computation of the same artifact,
 so two experiments racing for the campaign under ``--jobs N`` still produce
 exactly one computation; distinct keys compute concurrently.
 
 Integrity: disk-tier entries are written atomically (temp file +
-``os.replace``) inside a sha256-digest envelope
+``os.replace``) as compact canonical JSON inside a sha256-digest envelope
 (:func:`repro.persist.save_cache_entry`).  A cache file that is truncated,
 garbage, digest-mismatched, or schema-drifted is *quarantined* — renamed
 to ``<name>.corrupt`` — and the artifact is transparently recomputed; the

@@ -40,7 +40,6 @@ __all__ = [
     "RunContext",
     "ensure_context",
     "UncacheableParameter",
-    "workload_codec",
     "campaign_codec",
 ]
 
@@ -72,13 +71,6 @@ def _canonical(value: Any) -> Any:
     raise UncacheableParameter(
         f"cannot build a cache key from {type(value).__name__}"
     )
-
-
-def workload_codec() -> ArtifactCodec:
-    """Disk codec for Workload artifacts (repro/workload@1)."""
-    from repro.persist import workload_from_dict, workload_to_dict
-
-    return ArtifactCodec(to_dict=workload_to_dict, from_dict=workload_from_dict)
 
 
 def campaign_codec() -> ArtifactCodec:
@@ -149,7 +141,11 @@ class RunContext:
 
     # -- the shared reproduction artifacts ---------------------------------
     def workload(self, n_units: int = 600, seed: int | None = None) -> "Workload":
-        """The reference workload for ``(seed, n_units)``, computed once."""
+        """The reference workload for ``(seed, n_units)``, computed once.
+
+        Memory-only: regenerating it from the seed is several times cheaper
+        than loading it back from ``--cache-dir``, so it has no disk codec.
+        """
         seed = self.seed if seed is None else seed
 
         def compute() -> "Workload":
@@ -166,7 +162,6 @@ class RunContext:
             "reference",
             {"seed": seed, "n_units": n_units},
             compute,
-            codec=workload_codec(),
         )
 
     def campaign(self, n_units: int = 600, seed: int | None = None) -> "CampaignResult":

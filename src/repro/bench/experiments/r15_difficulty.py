@@ -10,12 +10,7 @@ for the right reasons, not by fiat.
 
 from __future__ import annotations
 
-from repro.bench.engine.context import (
-    RunContext,
-    campaign_codec,
-    ensure_context,
-    workload_codec,
-)
+from repro.bench.engine.context import RunContext, campaign_codec, ensure_context
 from repro.bench.engine.spec import ExperimentSpec, register_spec
 from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
 from repro.reporting.figures import ascii_chart
@@ -53,7 +48,6 @@ def run(
         "difficulty",
         {"seed": seed, "n_units": n_units},
         lambda: _difficulty_workload(seed, n_units),
-        codec=workload_codec(),
     )
 
     def _campaign():

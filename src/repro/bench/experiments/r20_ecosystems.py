@@ -22,12 +22,7 @@ from __future__ import annotations
 import math
 
 from repro.bench.campaign import CampaignResult, run_campaign
-from repro.bench.engine.context import (
-    RunContext,
-    campaign_codec,
-    ensure_context,
-    workload_codec,
-)
+from repro.bench.engine.context import RunContext, campaign_codec, ensure_context
 from repro.bench.engine.spec import ExperimentSpec, register_spec
 from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
 from repro.metrics.confusion import ConfusionMatrix
@@ -54,8 +49,10 @@ def ecosystem_campaign(
 ) -> tuple[Workload, CampaignResult]:
     """One ecosystem's benchmark: its workload under its family suite.
 
-    Both artifacts are memoized in the run context's store (and persist to
-    ``--cache-dir``), keyed by ecosystem name, seed and size.
+    Both artifacts are memoized in the run context's store, keyed by
+    ecosystem name, seed and size; the campaign also persists to
+    ``--cache-dir``, while the workload is regenerated from its seed, which
+    is cheaper than loading it back.
     """
     ctx = ensure_context(context, seed=seed)
     config = profile.workload_config(
@@ -70,7 +67,6 @@ def ecosystem_campaign(
         f"eco-{profile.name}",
         {"seed": seed, "n_units": n_units, "ecosystem": profile.name},
         compute_workload,
-        codec=workload_codec(),
     )
 
     def compute_campaign() -> CampaignResult:

@@ -7,13 +7,17 @@ workloads, detection reports and scored campaigns — through plain JSON with
 an explicit schema tag, so archives fail loudly rather than misparse when
 the format evolves.
 
-Durability: every write goes through :func:`save_json`, which serializes in
-memory, writes a sibling temp file and atomically :func:`os.replace`\\ s it
-into place — an interrupted write can never leave truncated JSON at the
-final path.  The artifact store's disk tier additionally wraps payloads in
+Durability: every write serializes in memory, writes a temp file private
+to the writing thread next to the target, and atomically
+:func:`os.replace`\\ s it into place — an interrupted write can never leave
+truncated JSON at the final path, and concurrent writers of one path never
+collide.  :func:`save_json` writes indented JSON for people to read
+(manifests, bench dumps).  The artifact store's disk tier wraps payloads in
 a sha256-digest envelope (:func:`save_cache_entry` /
 :func:`load_cache_entry`) so silently corrupted bytes are detected on load
-and quarantined instead of poisoning warm runs.
+and quarantined instead of poisoning warm runs; envelopes are written as
+compact canonical JSON, encoding the payload once for both the digest and
+the file.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -442,23 +447,36 @@ def streaming_totals_from_dict(payload: dict[str, Any]) -> StreamingCampaignResu
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
-def save_json(payload: dict[str, Any], path: str | Path) -> None:
-    """Atomically write a serialized artifact to ``path`` (stable key order).
+def _write_atomic(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` through a temp file and :func:`os.replace`.
 
-    The payload is serialized in memory first, written to a sibling
-    temporary file, and moved into place with :func:`os.replace` — so a
-    crash (or a serialization error) mid-write can never leave a partial
-    file at the final path: readers see either the old content or the new
-    content, never truncated JSON.
+    The temp file is named for the writing process *and* thread, so
+    concurrent writers of one path (two service jobs storing the same
+    cache key) never share, truncate or steal each other's temp file: each
+    replace moves a complete file into place, and the last one wins.
     """
     path = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp = path.with_name(
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+    )
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def save_json(payload: dict[str, Any], path: str | Path) -> None:
+    """Atomically write a serialized artifact to ``path`` (stable key order).
+
+    The payload is serialized in memory first, written to a temporary file
+    private to this writer, and moved into place with :func:`os.replace` —
+    so a crash (or a serialization error) mid-write can never leave a
+    partial file at the final path: readers see either the old content or
+    the new content, never truncated JSON.  The output is indented for
+    people to read; cache entries use :func:`save_cache_entry` instead.
+    """
+    _write_atomic(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def load_json(path: str | Path) -> dict[str, Any]:
@@ -507,10 +525,15 @@ def sniff_schema(path: str | Path) -> str | None:
 CACHE_ENTRY_SCHEMA = "repro/cache-entry@1"
 
 
+def _canonical_with_digest(payload: dict[str, Any]) -> tuple[str, str]:
+    """``payload``'s canonical JSON and the sha256 hex digest of it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def payload_digest(payload: dict[str, Any]) -> str:
     """The sha256 hex digest of ``payload``'s canonical JSON form."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical_with_digest(payload)[1]
 
 
 def save_cache_entry(payload: dict[str, Any], path: str | Path) -> None:
@@ -518,16 +541,18 @@ def save_cache_entry(payload: dict[str, Any], path: str | Path) -> None:
 
     The envelope records the sha256 of the payload's canonical JSON, so a
     reader can detect silent corruption (bit flips, partial copies, manual
-    edits) that still happens to parse as JSON.
+    edits) that still happens to parse as JSON.  The payload is encoded
+    once: the canonical string that is hashed is the one written, and the
+    file is the canonical JSON of the whole envelope (keys ``payload``,
+    ``schema``, ``sha256`` in sorted order).
     """
-    save_json(
-        {
-            "schema": CACHE_ENTRY_SCHEMA,
-            "sha256": payload_digest(payload),
-            "payload": payload,
-        },
-        path,
+    canonical, digest = _canonical_with_digest(payload)
+    envelope = (
+        f'{{"payload":{canonical},'
+        f'"schema":{json.dumps(CACHE_ENTRY_SCHEMA)},'
+        f'"sha256":"{digest}"}}\n'
     )
+    _write_atomic(envelope, path)
 
 
 def load_cache_entry(path: str | Path) -> dict[str, Any]:

@@ -11,8 +11,8 @@ from repro.bench.engine.context import (
     RunContext,
     UncacheableParameter,
     _canonical,
+    campaign_codec,
     ensure_context,
-    workload_codec,
 )
 from repro.bench.engine.manifest import MANIFEST_SCHEMA, RunManifest
 from repro.bench.engine.scheduler import run_experiments, topological_order
@@ -30,6 +30,17 @@ ALL_IDS = [f"R{i}" for i in range(1, 21)]
 FAST_SUBSET = ["R1", "R3", "R4", "R5", "R6", "R12", "R13"]
 
 CAMPAIGN_600 = "campaign:reference[n_units=600,seed=2015]"
+
+
+def small_reference_campaign():
+    """The reference suite scored on a 40-unit reference workload (seed 7)."""
+    from repro.bench.campaign import run_campaign
+    from repro.bench.experiments.r3_campaign import reference_workload
+    from repro.tools.suite import reference_suite
+
+    return run_campaign(
+        reference_suite(seed=7), reference_workload(seed=7, n_units=40)
+    )
 
 
 class TestSpecRegistry:
@@ -164,16 +175,14 @@ class TestArtifactStore:
         store.record_uncached(self.key(), requester="R9")
         assert store.counts()["uncached"] == 1
 
-    def test_disk_tier_round_trips_workloads(self, tmp_path):
-        from repro.bench.experiments.r3_campaign import reference_workload
-
-        codec = workload_codec()
-        key = ArtifactKey("workload", "reference", (("n_units", 40), ("seed", 7)))
+    def test_disk_tier_round_trips_campaigns(self, tmp_path):
+        codec = campaign_codec()
+        key = ArtifactKey("campaign", "reference", (("n_units", 40), ("seed", 7)))
         compute_calls = []
 
         def compute():
             compute_calls.append(1)
-            return reference_workload(seed=7, n_units=40)
+            return small_reference_campaign()
 
         cold = ArtifactStore(cache_dir=tmp_path)
         first = cold.get_or_compute(key, compute, codec=codec)
@@ -184,26 +193,21 @@ class TestArtifactStore:
         second = warm.get_or_compute(key, compute, codec=codec)
         assert compute_calls == [1], "warm store must not recompute"
         assert warm.counts()["disk-hit"] == 1
-        assert second.truth == first.truth
-        assert second.units == first.units
+        assert second == first
 
     def test_schema_mismatched_disk_payload_quarantined(self, tmp_path):
         # Pre-integrity-envelope (or plain wrong-schema) cache files are
         # quarantined and recomputed, not fatal.
-        from repro.bench.experiments.r3_campaign import reference_workload
-
-        key = ArtifactKey("workload", "reference", (("seed", 7),))
+        key = ArtifactKey("campaign", "reference", (("seed", 7),))
         path = tmp_path / key.filename
         path.write_text(
-            json.dumps({"schema": "repro/workload@99"}), encoding="utf-8"
+            json.dumps({"schema": "repro/campaign@99"}), encoding="utf-8"
         )
         store = ArtifactStore(cache_dir=tmp_path)
         value = store.get_or_compute(
-            key,
-            lambda: reference_workload(seed=7, n_units=40),
-            codec=workload_codec(),
+            key, small_reference_campaign, codec=campaign_codec()
         )
-        assert len(value.units) == 40
+        assert value == small_reference_campaign()
         assert path.with_name(path.name + ".corrupt").exists()
         assert store.counts()["corrupt"] == 1
         assert store.counts()["miss"] == 1
@@ -217,23 +221,20 @@ class TestArtifactStore:
         import os
 
         from repro.bench.engine.artifacts import CORRUPT_RETENTION_CAP
-        from repro.bench.experiments.r3_campaign import reference_workload
 
         # A cache dir already at the retention cap, oldest-first mtimes.
         for i in range(CORRUPT_RETENTION_CAP):
             stale = tmp_path / f"old-{i:02d}.json.corrupt"
             stale.write_text("x")
             os.utime(stale, (1_000_000 + i, 1_000_000 + i))
-        key = ArtifactKey("workload", "reference", (("seed", 7),))
+        key = ArtifactKey("campaign", "reference", (("seed", 7),))
         path = tmp_path / key.filename
         path.write_text(
-            json.dumps({"schema": "repro/workload@99"}), encoding="utf-8"
+            json.dumps({"schema": "repro/campaign@99"}), encoding="utf-8"
         )
         store = ArtifactStore(cache_dir=tmp_path)
         store.get_or_compute(
-            key,
-            lambda: reference_workload(seed=7, n_units=40),
-            codec=workload_codec(),
+            key, small_reference_campaign, codec=campaign_codec()
         )
         corrupt = {p.name for p in tmp_path.glob("*.corrupt")}
         assert len(corrupt) == CORRUPT_RETENTION_CAP
@@ -278,6 +279,32 @@ class TestCacheSemantics:
         warm = run_experiments(["R3", "R4"], seed=2015, store=store)
         assert warm.manifest.cache_counts()["miss"] == 0
         for key in ("R3", "R4"):
+            assert warm.results[key].render() == cold.results[key].render()
+
+    def test_cache_dir_persists_the_campaign_not_the_workload(self, tmp_path):
+        # Regenerating the reference workload is cheaper than loading it
+        # back, so only the scored campaign reaches the disk tier.
+        cold = run_experiments(("R3", "R12"), seed=2015, cache_dir=str(tmp_path))
+        files = [path.name for path in tmp_path.iterdir()]
+        assert len(files) == 1
+        assert files[0].startswith("campaign-reference-")
+        assert files[0].endswith(".json")
+        counters = cold.store.obs.metrics.counter_values("engine.artifacts.")
+        assert counters["engine.artifacts.persisted"] == 1
+
+        warm = run_experiments(("R3", "R12"), seed=2015, cache_dir=str(tmp_path))
+        campaign = [
+            e.status for e in warm.store.events if e.key == CAMPAIGN_600
+        ]
+        workload = [
+            e.status
+            for e in warm.store.events
+            if e.key == "workload:reference[n_units=600,seed=2015]"
+        ]
+        assert campaign == ["disk-hit", "hit"]
+        assert workload == ["miss", "hit"]
+        assert warm.manifest.cache_counts("campaign:")["miss"] == 0
+        for key in ("R3", "R12"):
             assert warm.results[key].render() == cold.results[key].render()
 
     def test_standalone_run_still_works_without_context(self):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import os
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ArtifactCorruptError, ConfigurationError, PersistError
 from repro.persist import (
+    CACHE_ENTRY_SCHEMA,
     campaign_from_dict,
     campaign_to_dict,
     load_cache_entry,
@@ -46,8 +53,6 @@ class TestWorkloadRoundTrip:
             workload_from_dict(payload)
 
     def test_payload_is_json_safe(self, small_workload):
-        import json
-
         json.dumps(workload_to_dict(small_workload))
 
     @settings(max_examples=10, deadline=None)
@@ -164,8 +169,6 @@ class TestCacheEntryEnvelope:
         assert payload_digest(payload) == payload_digest({"a": 1, "b": 2})
 
     def test_tampered_payload_rejected(self, tmp_path):
-        import json
-
         path = tmp_path / "entry.json"
         save_cache_entry({"value": 1}, path)
         envelope = json.loads(path.read_text(encoding="utf-8"))
@@ -175,8 +178,6 @@ class TestCacheEntryEnvelope:
             load_cache_entry(path)
 
     def test_raw_legacy_payload_rejected(self, tmp_path):
-        import json
-
         path = tmp_path / "entry.json"
         path.write_text(
             json.dumps({"schema": "repro/workload@1"}), encoding="utf-8"
@@ -191,6 +192,112 @@ class TestCacheEntryEnvelope:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(PersistError):
             load_cache_entry(path)
+
+    def test_file_is_the_canonical_json_of_the_envelope(
+        self, tmp_path, reference_campaign
+    ):
+        # The payload is encoded once; the bytes on disk must be exactly
+        # what a canonical encode of the whole envelope would produce.
+        payload = campaign_to_dict(reference_campaign)
+        path = tmp_path / "entry.json"
+        save_cache_entry(payload, path)
+        envelope = {
+            "schema": CACHE_ENTRY_SCHEMA,
+            "sha256": payload_digest(payload),
+            "payload": payload,
+        }
+        expected = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+    def test_indented_envelopes_of_older_writers_still_load(
+        self, tmp_path, reference_campaign
+    ):
+        # Earlier releases wrote the same envelope through save_json
+        # (indented); warm caches they left behind must stay warm.
+        from repro.bench.engine.artifacts import ArtifactKey, ArtifactStore
+        from repro.bench.engine.context import campaign_codec
+
+        payload = campaign_to_dict(reference_campaign)
+        envelope = {
+            "schema": CACHE_ENTRY_SCHEMA,
+            "sha256": payload_digest(payload),
+            "payload": payload,
+        }
+        path = tmp_path / "entry.json"
+        save_json(envelope, path)
+        assert load_cache_entry(path) == payload
+
+        key = ArtifactKey("campaign", "reference", (("seed", 101),))
+        save_json(envelope, tmp_path / key.filename)
+        computed = []
+        store = ArtifactStore(cache_dir=tmp_path)
+        value = store.get_or_compute(
+            key, lambda: computed.append(1), codec=campaign_codec()
+        )
+        assert computed == []
+        assert value == reference_campaign
+        assert store.counts()["disk-hit"] == 1
+
+
+class TestConcurrentWriters:
+    def test_writers_of_one_path_never_collide(self, tmp_path):
+        # More threads than cores and a short switch interval, so writers
+        # interleave inside the write-then-replace window.
+        path = tmp_path / "entry.json"
+        writers = 2 * (os.cpu_count() or 1) + 2
+        readers = 2
+        deadline = time.monotonic() + 5.0
+        start = threading.Barrier(writers + readers, timeout=30)
+        done = threading.Event()
+        errors: list[Exception] = []
+        loaded: list[int] = []
+
+        def write(k: int) -> None:
+            try:
+                start.wait()
+                for i in range(100):
+                    if time.monotonic() > deadline:
+                        break
+                    save_cache_entry(
+                        {"writer": k, "i": i, "values": list(range(500))}, path
+                    )
+            except Exception as error:
+                errors.append(error)
+
+        def read() -> None:
+            try:
+                start.wait()
+                while not done.is_set():
+                    try:
+                        payload = load_cache_entry(path)
+                    except FileNotFoundError:
+                        continue  # no writer has finished yet
+                    loaded.append(payload["writer"])
+            except Exception as error:
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=write, args=(k,)) for k in range(writers)
+        ] + [threading.Thread(target=read) for _ in range(readers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads[:writers]:
+                thread.join(timeout=60)
+            done.set()
+            for thread in threads[writers:]:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(previous)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert loaded, "readers must have seen complete entries"
+        assert load_cache_entry(path)["values"] == list(range(500))
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 class TestExperimentResultRoundTrip:
@@ -221,8 +328,6 @@ class TestExperimentResultRoundTrip:
         assert rebuilt.render() == original.render()
 
     def test_payload_survives_json(self):
-        import json
-
         from repro.persist import (
             experiment_result_from_dict,
             experiment_result_to_dict,
