@@ -19,9 +19,8 @@ def test_bench_r3_campaign(benchmark, save_result):
     print(result.render())
 
     campaign = result.data["campaign"]
-    workload = result.data["workload"]
     assert len(campaign.results) == 8
-    assert 0.10 < workload.prevalence < 0.20
+    assert 0.10 < campaign.prevalence < 0.20
 
     grep = campaign.confusion_for("SA-Grep")
     assert d.RECALL.compute(grep) == 1.0  # syntactic scanner misses nothing

@@ -30,7 +30,7 @@ def main() -> None:
 
     for scenario in canonical_scenarios():
         report = build_scenario_report(
-            scenario, campaign, workload.truth, seed=2015, n_resamples=300
+            scenario, campaign, seed=2015, n_resamples=300
         )
         print(report.render())
         print()
@@ -40,7 +40,7 @@ def main() -> None:
     corpus = corpus_workload()
     corpus_campaign = run_campaign(reference_suite(seed=2015), corpus)
     report = build_scenario_report(
-        canonical_scenarios()[0], corpus_campaign, corpus.truth, seed=2015
+        canonical_scenarios()[0], corpus_campaign, seed=2015
     )
     print("--- corpus workload (tiny: watch the intervals widen) ---")
     print(report.render())

@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 
 from repro import WorkloadConfig, generate_workload
-from repro.bench.campaign import score_report
+from repro.bench.campaign import run_campaign, score_report
 from repro.metrics import definitions as d
 from repro.reporting import format_table
 from repro.stats import mcnemar_exact, paired_outcomes
@@ -70,8 +70,11 @@ def analyze_change(n_units: int, n_mutations: int, seed: int) -> list[object]:
     # the kind of gap a release-to-release tool upgrade produces.
     broad = DynamicInjector(name="broad", payload_coverage=0.9, seed=1)
     narrow = DynamicInjector(name="narrow", payload_coverage=0.75, seed=2)
+    testers = run_campaign([broad, narrow], mutated)
     table = paired_outcomes(
-        broad.analyze(mutated), narrow.analyze(mutated), mutated.truth
+        testers.result_for("broad"),
+        testers.result_for("narrow"),
+        testers.vulnerable,
     )
     p_value = mcnemar_exact(table)
     return [

@@ -74,7 +74,7 @@ def _canonical(value: Any) -> Any:
 
 
 def campaign_codec() -> ArtifactCodec:
-    """Disk codec for CampaignResult artifacts (repro/campaign@1)."""
+    """Disk codec for CampaignResult artifacts (repro/campaign@2)."""
     from repro.persist import campaign_from_dict, campaign_to_dict
 
     return ArtifactCodec(to_dict=campaign_to_dict, from_dict=campaign_from_dict)
@@ -165,18 +165,35 @@ class RunContext:
         )
 
     def campaign(self, n_units: int = 600, seed: int | None = None) -> "CampaignResult":
-        """The reference campaign for ``(seed, n_units)``, computed once."""
+        """The reference campaign for ``(seed, n_units)``, computed once.
+
+        Scored from columns: the reference config is decoded and every
+        tool of the reference suite scores the site rows through
+        :meth:`~repro.tools.base.VulnerabilityDetectionTool.site_scores`,
+        so no workload object graph, report or detection is built.  Equal
+        to :func:`~repro.bench.campaign.run_campaign` of the reference
+        suite over the reference workload.
+        """
         seed = self.seed if seed is None else seed
 
         def compute() -> "CampaignResult":
-            from repro.bench.campaign import run_campaign
+            from repro.bench.campaign import CampaignResult, tool_result
+            from repro.bench.experiments.r3_campaign import reference_config
             from repro.tools.suite import reference_suite
+            from repro.workload.columnar import decode_columns
 
-            workload = self.workload(n_units=n_units, seed=seed)
-            campaign = run_campaign(reference_suite(seed=seed), workload)
-            self.metrics.inc("engine.campaign.tools_run", len(campaign.results))
-            self.metrics.inc("engine.campaign.sites_scored", workload.n_sites)
-            return campaign
+            with self.span("campaign.decode", n_units=n_units):
+                columns = decode_columns(reference_config(seed=seed, n_units=n_units))
+            results = []
+            for tool in reference_suite(seed=seed):
+                with self.span("campaign.tool", tool=tool.name):
+                    scores = tool.site_scores(columns)
+                    results.append(
+                        tool_result(tool.name, scores, columns.site_vulnerable)
+                    )
+            self.metrics.inc("engine.campaign.tools_run", len(results))
+            self.metrics.inc("engine.campaign.sites_scored", columns.n_sites)
+            return CampaignResult.from_columns(columns, results)
 
         return self.artifact(
             "campaign",

@@ -9,7 +9,10 @@ returns.  What this module keeps is the state that outlives one task:
   construction, tool-suite build) and the per-worker stores, plans and
   tool suites it produces amortize over a whole session instead of one
   call.  Pools are evicted (and shut down) on LRU overflow, on a
-  :class:`BrokenExecutor`, or at interpreter exit;
+  :class:`BrokenExecutor`, or at interpreter exit.  Workers never
+  outlive their pool's creator: each one exits as soon as it is
+  reparented (the creator died, even by SIGKILL), and SIGTERM kills it
+  even when it forked while the CLI's drain handlers were installed;
 - **named segments** — every shared-memory segment the engine creates
   (the watchdog's :class:`~repro.bench.engine.supervise.HeartbeatBoard`)
   carries its creator's pid in its name, so a later campaign can reclaim
@@ -21,8 +24,10 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import signal
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -119,6 +124,38 @@ _POOL_CACHE_SIZE = 2
 _pool_lock = threading.Lock()
 _pools: dict[tuple[Any, ...], ProcessPoolExecutor] = {}
 
+#: How often a pool worker checks that its creator is still its parent.
+_PARENT_POLL_SECONDS = 0.25
+
+
+def _exit_when_orphaned(creator_pid: int) -> None:
+    """Exit the worker once it is no longer the child of ``creator_pid``."""
+    while os.getppid() == creator_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _init_pool_worker(creator_pid: int) -> None:
+    """Process-pool initializer: workers die with their creator.
+
+    Workers fork from a parent that may have installed the CLI's drain
+    handlers (:func:`~repro.bench.engine.supervise.graceful_shutdown`);
+    inherited, they would turn SIGTERM into a flag nobody in the worker
+    reads.  SIGTERM gets its default action back.  SIGINT is ignored: a
+    terminal's Ctrl-C reaches the whole process group, and the parent's
+    drain needs the in-flight tasks to finish.  A SIGKILLed creator runs
+    no cleanup, and the pipe ends the workers inherited keep the call
+    queue open, so a daemon thread watches for reparenting and exits.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(creator_pid,),
+        name="repro-orphan-watch",
+        daemon=True,
+    ).start()
+
 
 def cached_process_pool(
     key: tuple[Any, ...], max_workers: int
@@ -149,7 +186,11 @@ def cached_process_pool(
             pool.shutdown(wait=False, cancel_futures=True)
             pool = None
         if pool is None:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            pool = ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_init_pool_worker,
+                initargs=(os.getpid(),),
+            )
         _pools[key] = pool  # (re)insert at LRU back
         while len(_pools) > _POOL_CACHE_SIZE:
             oldest = next(iter(_pools))

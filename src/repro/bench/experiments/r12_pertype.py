@@ -34,9 +34,8 @@ def run(
     """Break the reference campaign down by class and compare aggregations."""
     ctx = ensure_context(context, seed=seed)
     campaign = ctx.campaign(n_units=n_units, seed=seed)
-    workload = ctx.workload(n_units=n_units, seed=seed)
     with ctx.span("r12.breakdowns", tools=len(campaign.results)):
-        breakdowns = campaign_breakdowns(campaign, workload.truth)
+        breakdowns = campaign_breakdowns(campaign)
     ctx.metrics.inc("experiment.R12.units_processed", len(breakdowns))
 
     # Table 1: per-class metric values per tool.

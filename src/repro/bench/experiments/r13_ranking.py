@@ -16,7 +16,7 @@ from repro.bench.engine.context import RunContext, ensure_context
 from repro.bench.engine.spec import ExperimentSpec, register_spec
 from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
 from repro.metrics import definitions
-from repro.metrics.curves import auc_roc, average_precision, roc_points, score_sites
+from repro.metrics.curves import auc_roc, average_precision, roc_points
 from repro.reporting.figures import ascii_chart
 from repro.reporting.tables import format_table
 from repro.stats.rank import kendall_tau
@@ -32,7 +32,7 @@ def run(
     """Compute ranking metrics per tool and compare with fixed-threshold ones."""
     ctx = ensure_context(context, seed=seed)
     campaign = ctx.campaign(n_units=n_units, seed=seed)
-    workload = ctx.workload(n_units=n_units, seed=seed)
+    vulnerable = campaign.vulnerable
 
     auc: dict[str, float] = {}
     ap: dict[str, float] = {}
@@ -40,9 +40,8 @@ def run(
     rows = []
     for result in campaign.results:
         with ctx.span("metric.compute", tool=result.tool_name, experiment="R13"):
-            sites = score_sites(result.report, workload.truth)
-            auc[result.tool_name] = auc_roc(sites)
-            ap[result.tool_name] = average_precision(sites)
+            auc[result.tool_name] = auc_roc(result.scores, vulnerable)
+            ap[result.tool_name] = average_precision(result.scores, vulnerable)
         ctx.metrics.inc("experiment.R13.units_processed")
         rows.append(
             [
@@ -62,7 +61,7 @@ def run(
     # ROC chart for a representative trio spanning the operating space.
     for name in ("SA-Grep", "SA-Deep", "PT-Spider"):
         result = campaign.result_for(name)
-        roc_series[name] = roc_points(score_sites(result.report, workload.truth))
+        roc_series[name] = roc_points(result.scores, vulnerable)
     chart = ascii_chart(
         roc_series,
         title="ROC curves (reference campaign)",

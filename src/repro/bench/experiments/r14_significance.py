@@ -29,7 +29,6 @@ def run(
     """McNemar matrix + Wilson intervals for the reference campaign."""
     ctx = ensure_context(context, seed=seed)
     campaign = ctx.campaign(n_units=n_units, seed=seed)
-    workload = ctx.workload(n_units=n_units, seed=seed)
     names = campaign.tool_names
 
     p_values: dict[tuple[str, str], float] = {}
@@ -48,9 +47,9 @@ def run(
                     p_values[key] = p_values[(b, a)]
                 else:
                     outcomes = paired_outcomes(
-                        campaign.result_for(a).report,
-                        campaign.result_for(b).report,
-                        workload.truth,
+                        campaign.result_for(a),
+                        campaign.result_for(b),
+                        campaign.vulnerable,
                     )
                     p_values[key] = mcnemar_exact(outcomes)
                     total_pairs += 1

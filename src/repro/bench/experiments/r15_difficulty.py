@@ -10,6 +10,8 @@ for the right reasons, not by fiat.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.bench.engine.context import RunContext, campaign_codec, ensure_context
 from repro.bench.engine.spec import ExperimentSpec, register_spec
 from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
@@ -64,29 +66,29 @@ def run(
         codec=campaign_codec(),
     )
 
-    vulnerable = [
-        (site, workload.profiles[site].difficulty)
-        for site in workload.truth.vulnerable
-    ]
-    bins: dict[tuple[float, float], list] = {b: [] for b in _BINS}
-    for site, difficulty in vulnerable:
-        for low, high in _BINS:
-            if low <= difficulty < high:
-                bins[(low, high)].append(site)
-                break
+    # Vulnerable site rows per difficulty bin (bins are half-open).
+    difficulty = np.array(
+        [workload.profiles[site].difficulty for site in workload.truth.sites]
+    )
+    bins = {
+        (low, high): np.flatnonzero(
+            campaign.vulnerable & (low <= difficulty) & (difficulty < high)
+        )
+        for low, high in _BINS
+    }
 
     recalls: dict[str, list[float]] = {}
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
     for tool_name in _TRACKED:
-        flagged = campaign.result_for(tool_name).report.flagged_sites
+        flags = campaign.result_for(tool_name).flags
         per_bin = []
         points = []
         for (low, high), sites in bins.items():
-            if not sites:
+            if not sites.size:
                 per_bin.append(float("nan"))
                 continue
-            recall = sum(1 for s in sites if s in flagged) / len(sites)
+            recall = int(np.count_nonzero(flags[sites])) / sites.size
             per_bin.append(recall)
             points.append(((low + high) / 2, recall))
         recalls[tool_name] = per_bin
@@ -98,7 +100,7 @@ def run(
         rows=rows,
         title=(
             f"Recall per difficulty bin "
-            f"({sum(len(s) for s in bins.values())} vulnerable sites)"
+            f"({sum(s.size for s in bins.values())} vulnerable sites)"
         ),
     )
     chart = ascii_chart(
@@ -107,7 +109,9 @@ def run(
         x_label="difficulty (bin midpoint)",
         y_label="recall",
     )
-    bin_sizes = {f"{low:.2f}-{high:.2f}": len(sites) for (low, high), sites in bins.items()}
+    bin_sizes = {
+        f"{low:.2f}-{high:.2f}": int(sites.size) for (low, high), sites in bins.items()
+    }
     return ExperimentResult(
         experiment_id="R15",
         title="Difficulty model validation",

@@ -15,21 +15,24 @@ from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
 from repro.reporting.tables import format_table
 from repro.workload.generator import Workload, WorkloadConfig, generate_workload
 
-__all__ = ["reference_workload", "run", "SPEC"]
+__all__ = ["reference_config", "reference_workload", "run", "SPEC"]
+
+
+def reference_config(seed: int = DEFAULT_SEED, n_units: int = 600) -> WorkloadConfig:
+    """The config of the workload every campaign-based experiment shares."""
+    return WorkloadConfig(
+        n_units=n_units,
+        sites_per_unit=(1, 3),
+        prevalence=0.15,
+        decoy_fraction=0.5,
+        seed=seed,
+        name="reference",
+    )
 
 
 def reference_workload(seed: int = DEFAULT_SEED, n_units: int = 600) -> Workload:
     """The workload every campaign-based experiment shares."""
-    return generate_workload(
-        WorkloadConfig(
-            n_units=n_units,
-            sites_per_unit=(1, 3),
-            prevalence=0.15,
-            decoy_fraction=0.5,
-            seed=seed,
-            name="reference",
-        )
-    )
+    return generate_workload(reference_config(seed=seed, n_units=n_units))
 
 
 def run(
@@ -39,7 +42,6 @@ def run(
 ) -> ExperimentResult:
     """Run the reference campaign and render the raw-results table."""
     ctx = ensure_context(context, seed=seed)
-    workload = ctx.workload(n_units=n_units, seed=seed)
     campaign: CampaignResult = ctx.campaign(n_units=n_units, seed=seed)
 
     ctx.metrics.inc("experiment.R3.units_processed", len(campaign.results))
@@ -60,15 +62,15 @@ def run(
         headers=["tool", "TP", "FP", "FN", "TN", "reported"],
         rows=rows,
         title=(
-            f"Campaign raw results — workload {workload.name!r}: "
-            f"{workload.n_sites} sites, prevalence {workload.prevalence:.3f}"
+            f"Campaign raw results — workload {campaign.workload_name!r}: "
+            f"{campaign.n_sites} sites, prevalence {campaign.prevalence:.3f}"
         ),
     )
     return ExperimentResult(
         experiment_id="R3",
         title="Reference benchmarking campaign",
         sections={"raw_results": table},
-        data={"campaign": campaign, "workload": workload},
+        data={"campaign": campaign},
     )
 
 

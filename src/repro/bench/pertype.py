@@ -7,6 +7,12 @@ macro-averaging (every class counts equally) and micro-averaging (every
 site counts equally) can order tools differently, which is itself a metric
 selection question.  This module provides the breakdown and both
 aggregations.
+
+Breakdowns are array code over the campaign's per-site columns: each
+class's sites are a mask over :attr:`~repro.bench.campaign.CampaignResult.
+vuln_types`, and each tool's per-class matrix comes from its flags under
+that mask.  Classes appear in the order their first site does, the order
+:func:`macro_average` sums in.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.bench.campaign import CampaignResult, ToolResult
+import numpy as np
+
+from repro.bench.campaign import TAXONOMY, CampaignResult, ToolResult, flag_confusion
 from repro.errors import ConfigurationError
 from repro.metrics.base import Metric
 from repro.metrics.confusion import ConfusionMatrix
-from repro.workload.ground_truth import GroundTruth
 from repro.workload.taxonomy import VulnerabilityType
 
 __all__ = [
@@ -64,27 +71,31 @@ class PerTypeBreakdown:
         return {t: metric.value_or_nan(cm) for t, cm in self.by_type.items()}
 
 
-def breakdown_report(result: ToolResult, truth: GroundTruth) -> PerTypeBreakdown:
-    """Split one tool's outcome by vulnerability class."""
-    flagged = result.report.flagged_sites
-    cells: dict[VulnerabilityType, list[int]] = {}
-    for site in truth.sites:
-        tally = cells.setdefault(site.vuln_type, [0, 0, 0, 0])  # tp, fp, fn, tn
-        vulnerable = site in truth.vulnerable
-        reported = site in flagged
-        if vulnerable and reported:
-            tally[0] += 1
-        elif not vulnerable and reported:
-            tally[1] += 1
-        elif vulnerable:
-            tally[2] += 1
-        else:
-            tally[3] += 1
+def _class_masks(
+    campaign: CampaignResult,
+) -> list[tuple[VulnerabilityType, np.ndarray]]:
+    """Each present class with its site mask, in first-appearance order."""
+    codes, first = np.unique(campaign.vuln_types, return_index=True)
+    order = codes[np.argsort(first)]
+    return [(TAXONOMY[code], campaign.vuln_types == code) for code in order.tolist()]
+
+
+def _breakdown(
+    result: ToolResult,
+    vulnerable: np.ndarray,
+    masks: list[tuple[VulnerabilityType, np.ndarray]],
+) -> PerTypeBreakdown:
+    flags = result.flags
     by_type = {
-        vuln_type: ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
-        for vuln_type, (tp, fp, fn, tn) in cells.items()
+        vuln_type: flag_confusion(flags[mask], vulnerable[mask])
+        for vuln_type, mask in masks
     }
     return PerTypeBreakdown(tool_name=result.tool_name, by_type=by_type)
+
+
+def breakdown_report(result: ToolResult, campaign: CampaignResult) -> PerTypeBreakdown:
+    """Split one tool's outcome in ``campaign`` by vulnerability class."""
+    return _breakdown(result, campaign.vulnerable, _class_masks(campaign))
 
 
 def macro_average(breakdown: PerTypeBreakdown, metric: Metric) -> float:
@@ -119,11 +130,10 @@ def micro_average(breakdown: PerTypeBreakdown, metric: Metric) -> float:
     return metric.value_or_nan(pooled)
 
 
-def campaign_breakdowns(
-    campaign: CampaignResult, truth: GroundTruth
-) -> dict[str, PerTypeBreakdown]:
+def campaign_breakdowns(campaign: CampaignResult) -> dict[str, PerTypeBreakdown]:
     """Per-type breakdowns for every tool in a campaign."""
+    masks = _class_masks(campaign)
     return {
-        result.tool_name: breakdown_report(result, truth)
+        result.tool_name: _breakdown(result, campaign.vulnerable, masks)
         for result in campaign.results
     }

@@ -24,7 +24,6 @@ from repro.scenarios.adequacy import AdequacyConfig, rank_metrics_for_scenario
 from repro.scenarios.scenarios import Scenario
 from repro.stats.bootstrap import bootstrap_metric
 from repro.stats.significance import mcnemar_exact, paired_outcomes
-from repro.workload.ground_truth import GroundTruth
 
 __all__ = ["ToolVerdict", "ScenarioReport", "build_scenario_report"]
 
@@ -117,7 +116,6 @@ class ScenarioReport:
 def build_scenario_report(
     scenario: Scenario,
     campaign: CampaignResult,
-    truth: GroundTruth,
     registry: MetricRegistry | None = None,
     lead_metric: Metric | None = None,
     n_resamples: int = 300,
@@ -157,7 +155,7 @@ def build_scenario_report(
         goodness = lead_metric.goodness(result.confusion)
         scored.append((goodness if math.isfinite(goodness) else -math.inf, result))
     scored.sort(key=lambda pair: (-pair[0], pair[1].tool_name))
-    leader_report = scored[0][1].report
+    leader = scored[0][1]
 
     verdicts = []
     for _, result in scored:
@@ -174,8 +172,10 @@ def build_scenario_report(
             field_cost = float("nan")
         p_value = (
             1.0
-            if result.report is leader_report
-            else mcnemar_exact(paired_outcomes(leader_report, result.report, truth))
+            if result is leader
+            else mcnemar_exact(
+                paired_outcomes(leader, result, campaign.vulnerable)
+            )
         )
         verdicts.append(
             ToolVerdict(

@@ -21,9 +21,9 @@ campaign in memory and summing scalar
 history.  Each shard's cells come from the tools'
 :meth:`~repro.tools.base.VulnerabilityDetectionTool.flag_sites` masks,
 which reach exactly the verdicts ``analyze`` reaches on the materialized
-workload; :func:`materialized_totals` runs the object path
-(:func:`~repro.bench.campaign.run_campaign`/``score_report``) and is the
-parity oracle the two paths are held to.  Memory is bounded by one
+workload; :func:`materialized_totals` runs the object path (``analyze``
+scored by :func:`~repro.bench.campaign.score_report`) and is the parity
+oracle the two paths are held to.  Memory is bounded by one
 shard, not by the corpus.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.campaign import run_campaign
+from repro.bench.campaign import score_report
 from repro.errors import ConfigurationError
 from repro.metrics.base import Metric
 from repro.metrics.batch import ConfusionBatch
@@ -404,23 +404,21 @@ def materialized_totals(
 ) -> StreamingCampaignResult:
     """The in-memory reference path: every shard campaign alive at once.
 
-    Materializes every shard workload *and* every scalar
-    :class:`~repro.bench.campaign.CampaignResult` — the object path:
-    ``analyze`` reports scored site by site by ``score_report`` — then
-    sums their confusion cells tool by tool in plain Python — no
-    accumulator, no float64 vectors, no flag masks.  The streaming path
+    Materializes every shard workload and scores every tool's report on
+    it — the object path: ``analyze`` reports scored site by site by
+    ``score_report`` — then sums their confusion cells tool by tool in
+    plain Python — no accumulator, no float64 vectors, no flag masks.  The streaming path
     must match this bit for bit; the parity tests and ``check_bench``
     assert exactly that.  Only sensible at small scale (memory grows with
     the corpus).
     """
     workloads = [plan.generate(spec.index) for spec in plan]
-    campaigns = [run_campaign(tools, workload) for workload in workloads]
-    tool_names = tuple(campaigns[0].tool_names)
+    tool_names = tuple(tool.name for tool in tools)
     confusions = []
-    for name in tool_names:
+    for tool in tools:
         tp = fp = fn = tn = 0.0
-        for campaign in campaigns:
-            cm = campaign.confusion_for(name)
+        for workload in workloads:
+            cm = score_report(tool.analyze(workload), workload.truth)
             tp += cm.tp
             fp += cm.fp
             fn += cm.fn

@@ -29,7 +29,9 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.bench.campaign import CampaignResult, ToolResult
+import numpy as np
+
+from repro.bench.campaign import TAXONOMY, CampaignResult, tool_result
 from repro.bench.result import ExperimentResult
 from repro.bench.streaming import ShardCells, StreamingCampaignResult
 from repro.errors import ArtifactCorruptError, ConfigurationError, PersistError
@@ -80,7 +82,7 @@ SERVE_RESULT_SCHEMA = "repro/serve-result@1"
 
 _WORKLOAD_SCHEMA = "repro/workload@1"
 _REPORT_SCHEMA = "repro/report@1"
-_CAMPAIGN_SCHEMA = "repro/campaign@1"
+_CAMPAIGN_SCHEMA = "repro/campaign@2"
 _EXPERIMENT_SCHEMA = "repro/experiment@1"
 _SHARD_CELLS_SCHEMA = "repro/shard-cells@1"
 
@@ -261,42 +263,76 @@ def report_from_dict(payload: dict[str, Any]) -> DetectionReport:
 
 
 def campaign_to_dict(campaign: CampaignResult) -> dict[str, Any]:
-    """Serialize a scored campaign (reports + confusion matrices)."""
+    """Serialize a scored campaign as its per-site columns.
+
+    Per tool: the flagged site indices and their confidences.  Per
+    campaign: the vulnerable site indices and every site's class code.
+    Confusion matrices are derived again on load, from the same arrays.
+    """
+    results = []
+    for result in campaign.results:
+        flagged = np.flatnonzero(result.flags)
+        results.append(
+            {
+                "tool_name": result.tool_name,
+                "flagged": flagged.tolist(),
+                "confidence": result.scores[flagged].tolist(),
+            }
+        )
     return {
         "schema": _CAMPAIGN_SCHEMA,
         "workload_name": campaign.workload_name,
         "ecosystem": campaign.ecosystem,
-        "results": [
-            {
-                "tool_name": result.tool_name,
-                "report": report_to_dict(result.report),
-                "confusion": {
-                    "tp": result.confusion.tp,
-                    "fp": result.confusion.fp,
-                    "fn": result.confusion.fn,
-                    "tn": result.confusion.tn,
-                },
-            }
-            for result in campaign.results
-        ],
+        "vulnerable": np.flatnonzero(campaign.vulnerable).tolist(),
+        "vuln_types": campaign.vuln_types.tolist(),
+        "results": results,
     }
+
+
+def _site_indices(payload: dict[str, Any], key: str, n_sites: int) -> np.ndarray:
+    """``payload[key]`` as strictly increasing site indices below ``n_sites``."""
+    indices = np.asarray(payload[key], dtype=np.int64)
+    if indices.ndim != 1 or (
+        indices.size
+        and (indices[0] < 0 or indices[-1] >= n_sites or np.any(np.diff(indices) <= 0))
+    ):
+        raise ConfigurationError(
+            f"campaign {key!r} must list increasing site indices below {n_sites}"
+        )
+    return indices
 
 
 def campaign_from_dict(payload: dict[str, Any]) -> CampaignResult:
     """Rebuild a scored campaign."""
     _require_schema(payload, _CAMPAIGN_SCHEMA)
-    results = tuple(
-        ToolResult(
-            tool_name=entry["tool_name"],
-            report=report_from_dict(entry["report"]),
-            confusion=ConfusionMatrix(**entry["confusion"]),
+    codes = np.asarray(payload["vuln_types"], dtype=np.int64)
+    if codes.ndim != 1 or np.any((codes < 0) | (codes >= len(TAXONOMY))):
+        raise ConfigurationError(
+            f"campaign 'vuln_types' must be class codes below {len(TAXONOMY)}"
         )
-        for entry in payload["results"]
-    )
+    n_sites = int(codes.shape[0])
+    vulnerable = np.zeros(n_sites, dtype=bool)
+    vulnerable[_site_indices(payload, "vulnerable", n_sites)] = True
+    results = []
+    for entry in payload["results"]:
+        flagged = _site_indices(entry, "flagged", n_sites)
+        confidence = np.asarray(entry["confidence"], dtype=float)
+        if confidence.shape != flagged.shape or not np.all(
+            (confidence > 0.0) & (confidence <= 1.0)
+        ):
+            raise ConfigurationError(
+                f"tool {entry['tool_name']!r}: need one confidence in (0, 1] "
+                f"per flagged site"
+            )
+        scores = np.zeros(n_sites)
+        scores[flagged] = confidence
+        results.append(tool_result(entry["tool_name"], scores, vulnerable))
     return CampaignResult(
         workload_name=payload["workload_name"],
-        results=results,
-        ecosystem=payload.get("ecosystem", "web-services"),
+        results=tuple(results),
+        vulnerable=vulnerable,
+        vuln_types=codes.astype(np.int8),
+        ecosystem=payload["ecosystem"],
     )
 
 

@@ -6,16 +6,26 @@ primitive is the paired 2x2 table of per-site outcomes: sites only one tool
 classified correctly are the discordant pairs, and McNemar's test asks
 whether their split could be chance.  Wilson intervals cover the per-tool
 proportions themselves.
+
+The paired table is array code over a campaign's per-site columns: each
+tool's flags (:attr:`~repro.bench.campaign.ToolResult.flags`) are compared
+with the oracle verdicts
+(:attr:`~repro.bench.campaign.CampaignResult.vulnerable`) and the four
+cells are counted from the two per-site correctness masks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.tools.base import DetectionReport
-from repro.workload.ground_truth import GroundTruth
+
+if TYPE_CHECKING:
+    from repro.bench.campaign import ToolResult
 
 __all__ = [
     "PairedOutcomes",
@@ -53,36 +63,33 @@ class PairedOutcomes:
 
 
 def paired_outcomes(
-    first: DetectionReport, second: DetectionReport, truth: GroundTruth
+    first: "ToolResult", second: "ToolResult", vulnerable: np.ndarray
 ) -> PairedOutcomes:
-    """Build the paired agreement table for two reports on one workload."""
-    if first.workload_name != second.workload_name:
+    """Build the paired agreement table for two tools of one campaign.
+
+    ``vulnerable`` is the campaign's per-site oracle verdict, aligned
+    with both results' scores.
+    """
+    n_sites = int(vulnerable.shape[0])
+    if first.scores.shape != (n_sites,) or second.scores.shape != (n_sites,):
         raise ConfigurationError(
-            f"reports come from different workloads: "
-            f"{first.workload_name!r} vs {second.workload_name!r}"
+            f"results cover different site lists: "
+            f"{first.tool_name!r} scores {first.scores.shape[0]} sites, "
+            f"{second.tool_name!r} {second.scores.shape[0]}, "
+            f"ground truth {n_sites}"
         )
-    flagged_first = first.flagged_sites
-    flagged_second = second.flagged_sites
-    both_correct = only_first = only_second = both_wrong = 0
-    for site in truth.sites:
-        vulnerable = site in truth.vulnerable
-        first_correct = (site in flagged_first) == vulnerable
-        second_correct = (site in flagged_second) == vulnerable
-        if first_correct and second_correct:
-            both_correct += 1
-        elif first_correct:
-            only_first += 1
-        elif second_correct:
-            only_second += 1
-        else:
-            both_wrong += 1
+    first_correct = first.flags == vulnerable
+    second_correct = second.flags == vulnerable
+    both_correct = int(np.count_nonzero(first_correct & second_correct))
+    only_first = int(np.count_nonzero(first_correct)) - both_correct
+    only_second = int(np.count_nonzero(second_correct)) - both_correct
     return PairedOutcomes(
         first_tool=first.tool_name,
         second_tool=second.tool_name,
         both_correct=both_correct,
         only_first=only_first,
         only_second=only_second,
-        both_wrong=both_wrong,
+        both_wrong=n_sites - both_correct - only_first - only_second,
     )
 
 

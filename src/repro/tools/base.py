@@ -11,7 +11,11 @@ Sharded campaigns never build that object graph.  They hand each tool a
 shard's :class:`~repro.workload.columnar.ShardColumns` and ask
 :meth:`VulnerabilityDetectionTool.flag_sites` for one bool per site row:
 the same verdicts :meth:`~VulnerabilityDetectionTool.analyze` reaches,
-without the statements, detections and confidences.
+without the statements, detections and confidences.  The reference
+campaign the experiments share needs the confidences too (for ROC/PR
+ranking), and asks :meth:`VulnerabilityDetectionTool.site_scores` for one
+float per site row: the exact confidence ``analyze`` attaches, 0.0 where
+the tool stays silent.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "DetectionReport",
     "VulnerabilityDetectionTool",
     "check_confidence",
+    "replay_confidence_words",
     "replay_decisions",
 ]
 
@@ -80,6 +85,21 @@ def replay_decisions(seed: int, probabilities: np.ndarray) -> np.ndarray:
     flags = np.zeros(n, dtype=bool)
     flags[hits] = True
     return flags
+
+
+def replay_confidence_words(seed: int, flags: np.ndarray) -> np.ndarray:
+    """The confidence draw of every hit :func:`replay_decisions` found.
+
+    ``flags`` is the hit mask replayed from the stream seeded with
+    ``seed``.  The ``k``-th hit, at entry ``h``, drew its decision from
+    word ``h + k`` and its confidence from word ``h + k + 1``, so one
+    gather recovers every confidence draw.  Returns the uniform doubles
+    ``rng.random()`` would have produced, one per hit, in entry order.
+    """
+    hits = np.flatnonzero(flags)
+    words = np.random.PCG64(seed).random_raw(2 * int(flags.shape[0]))
+    drawn = words[hits + np.arange(hits.shape[0]) + 1]
+    return (drawn >> np.uint64(11)) * _DOUBLE_SCALE
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +168,21 @@ class VulnerabilityDetectionTool(ABC):
             f"{type(self).__name__} has no columnar evaluation "
             f"(flag_sites); sharded campaigns cannot score tool "
             f"{self.name!r}"
+        )
+
+    def site_scores(self, columns: "ShardColumns") -> np.ndarray:
+        """One float64 per site row of ``columns``: the tool's confidence.
+
+        The scored form of :meth:`flag_sites`: element ``i`` is the exact
+        confidence ``analyze`` of the materialized workload attaches to
+        the ``i``-th site of ``truth.sites``, and 0.0 where it reports
+        nothing, so ``site_scores(columns) > 0`` equals
+        ``flag_sites(columns)``.  The reference campaign is scored from
+        these arrays.  A tool without a scored columnar form is refused.
+        """
+        raise ToolError(
+            f"{type(self).__name__} has no columnar scores (site_scores); "
+            f"columnar campaigns cannot score tool {self.name!r}"
         )
 
     def _report(self, workload: Workload, detections: list[Detection]) -> DetectionReport:

@@ -28,6 +28,7 @@ from repro.tools.base import (
     DetectionReport,
     VulnerabilityDetectionTool,
     check_confidence,
+    replay_confidence_words,
     replay_decisions,
 )
 from repro.workload.columnar import ShardColumns
@@ -112,3 +113,17 @@ class DynamicInjector(VulnerabilityDetectionTool):
         return replay_decisions(
             self._stream_seed(columns.config.name), probabilities
         )
+
+    def site_scores(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar confidences: each hit's confidence draw (see
+        :func:`~repro.tools.base.replay_confidence_words`) through
+        :meth:`analyze`'s formulas for triggered injections and misreads."""
+        flags = self.flag_sites(columns)
+        draw = replay_confidence_words(self._stream_seed(columns.config.name), flags)
+        scores = np.zeros(columns.n_sites)
+        scores[flags] = np.where(
+            columns.site_vulnerable[flags],
+            np.minimum(1.0, self.confidence * (0.8 + 0.2 * draw)),
+            0.35 + 0.4 * draw,
+        )
+        return scores

@@ -68,6 +68,15 @@ class PatternScanner(VulnerabilityDetectionTool):
             flags &= ~self._sanitized_at(columns)
         return flags
 
+    def site_scores(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar confidences: the base confidence at every flagged
+        site, hedged by 0.55 where a same-class sanitizer precedes it."""
+        scores = np.where(
+            self._sanitized_at(columns), self.confidence * 0.55, self.confidence
+        )
+        scores[~self.flag_sites(columns)] = 0.0
+        return scores
+
     @staticmethod
     def _sanitized_at(columns: ShardColumns) -> np.ndarray:
         """Per site: a same-class sanitizer at or before it in its unit."""

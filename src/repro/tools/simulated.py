@@ -21,6 +21,7 @@ from repro.tools.base import (
     Detection,
     DetectionReport,
     VulnerabilityDetectionTool,
+    replay_confidence_words,
     replay_decisions,
 )
 from repro.workload.columnar import ShardColumns
@@ -132,6 +133,27 @@ class SimulatedTool(VulnerabilityDetectionTool):
         return replay_decisions(
             self._stream_seed(columns.config.name), probabilities
         )
+
+    def site_scores(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar confidences: :meth:`_confidence`'s formula over each
+        hit's confidence draw (see
+        :func:`~repro.tools.base.replay_confidence_words`)."""
+        flags = self.flag_sites(columns)
+        uniform = replay_confidence_words(
+            self._stream_seed(columns.config.name), flags
+        )
+        # rng.uniform(0.05, 1.0): low + (high - low) * random().
+        draw = 0.05 + (1.0 - 0.05) * uniform
+        quality = self.profile.ranking_quality
+        floor = 0.05 + 0.95 * 0.5 * quality
+        ceiling = 1.0 - 0.95 * 0.5 * quality
+        scores = np.zeros(columns.n_sites)
+        scores[flags] = np.where(
+            columns.site_vulnerable[flags],
+            floor + (1.0 - floor) * (draw - 0.05) / 0.95,
+            0.05 + (ceiling - 0.05) * (draw - 0.05) / 0.95,
+        )
+        return scores
 
     def _confidence(self, rng: np.random.Generator, vulnerable: bool) -> float:
         """Draw a finding confidence.

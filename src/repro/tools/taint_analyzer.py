@@ -99,6 +99,28 @@ class TaintAnalyzer(VulnerabilityDetectionTool):
             flags &= (columns.site_branch_mask & ~columns.site_order_mask) == 0
         return flags
 
+    def site_scores(self, columns: ShardColumns) -> np.ndarray:
+        """Columnar confidences: :meth:`analyze`'s depth decay per flag.
+
+        Taint reaching a flagged sink has taken one hop per chain link,
+        cross-class sanitizer, decoy sanitizer and post-sanitizer assign.
+        The confidence of each depth comes from a table built with the
+        scalar expression ``analyze`` evaluates, not from a vectorized
+        power, which may differ from Python's by an ulp.
+        """
+        flags = self.flag_sites(columns)
+        depth = (
+            columns.site_chain
+            + columns.site_cross
+            + columns.site_decoy
+            + columns.site_post_assign
+        )[flags]
+        scores = np.zeros(columns.n_sites)
+        if depth.size:
+            table = [self._confidence_at(d) for d in range(int(depth.max()) + 1)]
+            scores[flags] = np.array(table)[depth]
+        return scores
+
     def _analyze_unit(self, unit: CodeUnit) -> list[Detection]:
         environment: dict[str, _Taint] = {}
         findings: list[Detection] = []
@@ -138,11 +160,13 @@ class TaintAnalyzer(VulnerabilityDetectionTool):
                 if taint is not None and statement.vuln_type in taint.classes:
                     site = SinkSite(unit.unit_id, index, statement.vuln_type)  # type: ignore[arg-type]
                     findings.append(
-                        Detection(site=site, confidence=self._confidence_at(taint))
+                        Detection(
+                            site=site, confidence=self._confidence_at(taint.depth)
+                        )
                     )
         return findings
 
-    def _confidence_at(self, taint: _Taint) -> float:
+    def _confidence_at(self, depth: int) -> float:
         """Confidence decays with propagation depth.
 
         A flow the analyzer tracked through many hops is more likely to be
@@ -150,7 +174,7 @@ class TaintAnalyzer(VulnerabilityDetectionTool):
         severity/confidence scores in real static analyzers, and what gives
         the tool a non-trivial ranking for the ROC analysis.
         """
-        return max(0.05, self.confidence * (0.93**taint.depth))
+        return max(0.05, self.confidence * (0.93**depth))
 
     def _propagate(
         self, environment: dict[str, _Taint], target: str | None, sources: list[str]

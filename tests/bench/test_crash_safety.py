@@ -400,6 +400,32 @@ def wait_for_journal_records(wal: Path, minimum: int = 1) -> None:
     raise AssertionError(f"journal {wal} never reached {minimum} records")
 
 
+def processes_holding(marker: str) -> list[int]:
+    """Pids of live processes whose command line contains ``marker``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue  # exited while we looked
+        if marker.encode() in cmdline and state != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
+def wait_until_gone(marker: str, timeout: float = 10.0) -> list[int]:
+    """Poll until no process holds ``marker``; the survivors at timeout."""
+    deadline = time.monotonic() + timeout
+    while True:
+        survivors = processes_holding(marker)
+        if not survivors or time.monotonic() > deadline:
+            return survivors
+        time.sleep(0.1)
+
+
 class TestCrashRecoveryEndToEnd:
     """CLI subprocesses killed for real, recovered via ``--resume``."""
 
@@ -422,6 +448,13 @@ class TestCrashRecoveryEndToEnd:
             timeout=120,
         )
         assert proc.returncode == -signal.SIGKILL
+        if sys.platform.startswith("linux"):
+            # Pool workers fork with the parent's command line, WAL path
+            # included; none may outlive the SIGKILLed parent.
+            survivors = wait_until_gone(str(wal))
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            assert survivors == [], "orphaned workers outlived their parent"
         replay = replay_journal(wal)
         assert len(replay.arrays) == 2, "exactly the pre-kill folds persist"
 

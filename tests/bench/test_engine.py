@@ -212,6 +212,35 @@ class TestArtifactStore:
         assert store.counts()["corrupt"] == 1
         assert store.counts()["miss"] == 1
 
+    def test_campaign_v1_entry_quarantined_once(self, tmp_path):
+        # A campaign@1 entry (detection lists, no site columns) is schema
+        # drift: quarantined and recomputed once, then replaced by @2.
+        from repro.persist import save_cache_entry
+
+        key = ArtifactKey("campaign", "reference", (("n_units", 40), ("seed", 7)))
+        path = tmp_path / key.filename
+        save_cache_entry(
+            {"schema": "repro/campaign@1", "workload_name": "reference",
+             "ecosystem": "web-services", "results": []},
+            path,
+        )
+        first = ArtifactStore(cache_dir=tmp_path)
+        value = first.get_or_compute(
+            key, small_reference_campaign, codec=campaign_codec()
+        )
+        assert value == small_reference_campaign()
+        assert first.counts()["corrupt"] == 1
+        assert first.counts()["miss"] == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+
+        second = ArtifactStore(cache_dir=tmp_path)
+        again = second.get_or_compute(
+            key, small_reference_campaign, codec=campaign_codec()
+        )
+        assert again == value
+        assert second.counts()["disk-hit"] == 1
+        assert second.counts()["corrupt"] == 0
+
     def test_no_codec_means_memory_only(self, tmp_path):
         store = ArtifactStore(cache_dir=tmp_path)
         store.get_or_compute(self.key(n=1), lambda: 1)
@@ -282,9 +311,11 @@ class TestCacheSemantics:
             assert warm.results[key].render() == cold.results[key].render()
 
     def test_cache_dir_persists_the_campaign_not_the_workload(self, tmp_path):
-        # Regenerating the reference workload is cheaper than loading it
-        # back, so only the scored campaign reaches the disk tier.
+        # The reference campaign is scored from columns, so R3 and R12
+        # never request the reference workload; only the scored campaign
+        # reaches the disk tier.
         cold = run_experiments(("R3", "R12"), seed=2015, cache_dir=str(tmp_path))
+        assert not [e for e in cold.store.events if e.key.startswith("workload:")]
         files = [path.name for path in tmp_path.iterdir()]
         assert len(files) == 1
         assert files[0].startswith("campaign-reference-")
@@ -302,7 +333,7 @@ class TestCacheSemantics:
             if e.key == "workload:reference[n_units=600,seed=2015]"
         ]
         assert campaign == ["disk-hit", "hit"]
-        assert workload == ["miss", "hit"]
+        assert workload == []
         assert warm.manifest.cache_counts("campaign:")["miss"] == 0
         for key in ("R3", "R12"):
             assert warm.results[key].render() == cold.results[key].render()
@@ -509,6 +540,25 @@ class TestObservabilityIntegration:
         assert "artifact.compute" in names
         assert "metric.compute" in names
         del run
+
+    def test_reference_campaign_traces_decode_and_each_tool(self):
+        from repro.obs import Observability
+        from repro.tools.suite import reference_suite
+
+        obs = Observability.enabled()
+        run_experiments(("R3",), seed=2015, obs=obs)
+        spans = obs.tracer.spans
+        by_id = {record.span_id: record for record in spans}
+        decode = [r for r in spans if r.name == "campaign.decode"]
+        tools = [r for r in spans if r.name == "campaign.tool"]
+        assert len(decode) == 1
+        assert [dict(r.args)["tool"] for r in tools] == [
+            tool.name for tool in reference_suite(seed=2015)
+        ]
+        for record in decode + tools:
+            parent = by_id[record.parent_id]
+            assert parent.name == "artifact.compute"
+            assert dict(parent.args)["key"] == CAMPAIGN_600
 
     def test_experiment_spans_nest_under_engine_run(self):
         run, obs = self.run_traced()

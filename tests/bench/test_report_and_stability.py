@@ -16,11 +16,10 @@ SEED = 99
 
 class TestScenarioReport:
     @pytest.fixture(scope="class")
-    def critical_report(self, reference_campaign, small_workload):
+    def critical_report(self, reference_campaign):
         return build_scenario_report(
             scenario_by_key("critical"),
             reference_campaign,
-            small_workload.truth,
             n_resamples=120,
             seed=SEED,
         )
@@ -54,48 +53,41 @@ class TestScenarioReport:
         assert "Recall" in text
         assert "100:1" in text
 
-    def test_scenarios_recommend_different_tools(
-        self, reference_campaign, small_workload
-    ):
+    def test_scenarios_recommend_different_tools(self, reference_campaign):
         critical = build_scenario_report(
             scenario_by_key("critical"),
             reference_campaign,
-            small_workload.truth,
             n_resamples=60,
             seed=SEED,
         )
         triage = build_scenario_report(
             scenario_by_key("triage"),
             reference_campaign,
-            small_workload.truth,
             n_resamples=60,
             seed=SEED,
         )
         assert critical.recommended_tool != triage.recommended_tool
 
-    def test_pinned_lead_metric_respected(self, reference_campaign, small_workload):
+    def test_pinned_lead_metric_respected(self, reference_campaign):
         report = build_scenario_report(
             scenario_by_key("balanced"),
             reference_campaign,
-            small_workload.truth,
             lead_metric=d.MCC,
             n_resamples=60,
             seed=SEED,
         )
         assert report.lead_metric is d.MCC
 
-    def test_deterministic(self, reference_campaign, small_workload):
+    def test_deterministic(self, reference_campaign):
         a = build_scenario_report(
             scenario_by_key("triage"),
             reference_campaign,
-            small_workload.truth,
             n_resamples=60,
             seed=SEED,
         )
         b = build_scenario_report(
             scenario_by_key("triage"),
             reference_campaign,
-            small_workload.truth,
             n_resamples=60,
             seed=SEED,
         )

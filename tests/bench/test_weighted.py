@@ -9,6 +9,7 @@ from repro.bench.weighted import DEFAULT_SEVERITIES, score_report_weighted
 from repro.errors import ConfigurationError
 from repro.metrics import definitions as d
 from repro.tools.base import Detection, DetectionReport
+from repro.tools.suite import reference_suite
 from repro.workload.code_model import SinkSite
 from repro.workload.ground_truth import GroundTruth
 from repro.workload.taxonomy import VulnerabilityType
@@ -20,6 +21,11 @@ S_SQLI = SinkSite("u1", 1, SQLI)  # vulnerable
 S_XSS = SinkSite("u2", 1, XSS)  # vulnerable
 S_SAFE = SinkSite("u3", 1, XSS)  # safe
 TRUTH = GroundTruth.from_sites([S_SQLI, S_XSS, S_SAFE], [S_SQLI, S_XSS])
+
+
+def suite():
+    """The tools of the ``reference_campaign`` fixture, in campaign order."""
+    return reference_suite(seed=101)
 
 
 def report(*sites: SinkSite) -> DetectionReport:
@@ -55,9 +61,10 @@ class TestWeightedScoring:
 
     def test_uniform_weights_reduce_to_unweighted(self, reference_campaign, small_workload):
         uniform = {t: 2.5 for t in VulnerabilityType}
-        for result in reference_campaign.results:
+        for tool, result in zip(suite(), reference_campaign.results):
+            assert tool.name == result.tool_name
             weighted = score_report_weighted(
-                result.report, small_workload.truth, severities=uniform
+                tool.analyze(small_workload), small_workload.truth, severities=uniform
             )
             plain = result.confusion
             # Same matrix up to the constant weight factor: every
@@ -97,8 +104,11 @@ class TestWeightedScoring:
         different vulnerability classes."""
         weighted_recalls = {}
         plain_recalls = {}
-        for result in reference_campaign.results:
-            weighted = score_report_weighted(result.report, small_workload.truth)
+        for tool, result in zip(suite(), reference_campaign.results):
+            assert tool.name == result.tool_name
+            weighted = score_report_weighted(
+                tool.analyze(small_workload), small_workload.truth
+            )
             weighted_recalls[result.tool_name] = d.RECALL.value_or_nan(weighted)
             plain_recalls[result.tool_name] = d.RECALL.value_or_nan(result.confusion)
         # Values must differ somewhere (the suite has class-skewed tools)...

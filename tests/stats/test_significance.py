@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 
+from repro.bench.campaign import tool_result
 from repro.errors import ConfigurationError
 from repro.stats.significance import (
     PairedOutcomes,
@@ -14,12 +16,6 @@ from repro.stats.significance import (
     paired_outcomes,
     wilson_interval,
 )
-from repro.tools.base import Detection, DetectionReport
-from repro.workload.code_model import SinkSite
-from repro.workload.ground_truth import GroundTruth
-from repro.workload.taxonomy import VulnerabilityType
-
-SQLI = VulnerabilityType.SQL_INJECTION
 
 
 def outcomes(only_first: int, only_second: int, both_correct: int = 10,
@@ -35,23 +31,20 @@ def outcomes(only_first: int, only_second: int, both_correct: int = 10,
 
 
 class TestPairedOutcomes:
-    def make_reports(self):
-        s = [SinkSite(f"u{i}", 0, SQLI) for i in range(6)]
-        truth = GroundTruth.from_sites(s, [s[0], s[1], s[2]])
+    def make_results(self):
+        # Sites s0..s5; s0, s1, s2 are vulnerable.
+        truth = np.array([True, True, True, False, False, False])
         # Tool A flags s0, s1 (correct on s0, s1, s4, s5; wrong on s2, s3? ->
         # s3 is safe & unflagged: correct. wrong on s2 only).
-        report_a = DetectionReport(
-            "a", "w", detections=(Detection(s[0]), Detection(s[1]))
-        )
+        result_a = tool_result("a", np.array([0.9, 0.5, 0, 0, 0, 0]), truth)
         # Tool B flags s0, s3: correct on s0, s4, s5; wrong on s1, s2, s3.
-        report_b = DetectionReport(
-            "b", "w", detections=(Detection(s[0]), Detection(s[3]))
-        )
-        return report_a, report_b, truth
+        result_b = tool_result("b", np.array([1.0, 0, 0, 0.2, 0, 0]), truth)
+        return result_a, result_b, truth
 
     def test_table_counts(self):
-        report_a, report_b, truth = self.make_reports()
-        table = paired_outcomes(report_a, report_b, truth)
+        result_a, result_b, truth = self.make_results()
+        table = paired_outcomes(result_a, result_b, truth)
+        assert (table.first_tool, table.second_tool) == ("a", "b")
         assert table.n_sites == 6
         assert table.both_correct == 3  # s0, s4, s5
         assert table.only_first == 2  # s1, s3
@@ -60,15 +53,18 @@ class TestPairedOutcomes:
         assert table.discordant == 2
 
     def test_workload_mismatch_rejected(self):
-        report_a, report_b, truth = self.make_reports()
-        other = DetectionReport("b", "other", detections=())
-        with pytest.raises(ConfigurationError):
-            paired_outcomes(report_a, other, truth)
+        result_a, result_b, truth = self.make_results()
+        # A result scored on another (four-site) workload.
+        other = tool_result("b", np.zeros(4), np.zeros(4, dtype=bool))
+        with pytest.raises(ConfigurationError, match="different site lists"):
+            paired_outcomes(result_a, other, truth)
+        with pytest.raises(ConfigurationError, match="different site lists"):
+            paired_outcomes(result_a, result_b, truth[:4])
 
     def test_symmetry(self):
-        report_a, report_b, truth = self.make_reports()
-        ab = paired_outcomes(report_a, report_b, truth)
-        ba = paired_outcomes(report_b, report_a, truth)
+        result_a, result_b, truth = self.make_results()
+        ab = paired_outcomes(result_a, result_b, truth)
+        ba = paired_outcomes(result_b, result_a, truth)
         assert ab.only_first == ba.only_second
         assert ab.both_correct == ba.both_correct
 
@@ -166,14 +162,16 @@ class TestCampaignSignificance:
     def test_extreme_tools_differ_significantly(
         self, reference_campaign, small_workload
     ):
-        grep = reference_campaign.result_for("SA-Grep").report
-        deep = reference_campaign.result_for("SA-Deep").report
-        table = paired_outcomes(grep, deep, small_workload.truth)
+        grep = reference_campaign.result_for("SA-Grep")
+        deep = reference_campaign.result_for("SA-Deep")
+        table = paired_outcomes(grep, deep, reference_campaign.vulnerable)
+        assert table.n_sites == small_workload.n_sites
         assert mcnemar_exact(table) < 0.01
 
     def test_tool_vs_itself_is_not_significant(
         self, reference_campaign, small_workload
     ):
-        grep = reference_campaign.result_for("SA-Grep").report
-        table = paired_outcomes(grep, grep, small_workload.truth)
+        grep = reference_campaign.result_for("SA-Grep")
+        table = paired_outcomes(grep, grep, reference_campaign.vulnerable)
+        assert table.n_sites == small_workload.n_sites
         assert mcnemar_exact(table) == 1.0

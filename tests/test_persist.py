@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,15 +64,51 @@ class TestWorkloadRoundTrip:
         assert rebuilt == workload
 
 
+def suite_report(workload):
+    """The first reference-suite tool's report on ``workload``."""
+    from repro.tools.suite import reference_suite
+
+    return reference_suite(seed=101)[0].analyze(workload)
+
+
 class TestReportAndCampaignRoundTrip:
-    def test_report(self, reference_campaign):
-        report = reference_campaign.results[0].report
+    def test_report(self, small_workload):
+        report = suite_report(small_workload)
         rebuilt = report_from_dict(report_to_dict(report))
         assert rebuilt == report
 
     def test_campaign(self, reference_campaign):
         rebuilt = campaign_from_dict(campaign_to_dict(reference_campaign))
         assert rebuilt == reference_campaign
+        for before, after in zip(reference_campaign.results, rebuilt.results):
+            assert np.array_equal(after.scores, before.scores)
+            assert after.confusion == before.confusion
+        assert np.array_equal(rebuilt.vulnerable, reference_campaign.vulnerable)
+        assert np.array_equal(rebuilt.vuln_types, reference_campaign.vuln_types)
+
+    def test_campaign_payload_is_site_columns(self, reference_campaign):
+        payload = campaign_to_dict(reference_campaign)
+        assert payload["schema"] == "repro/campaign@2"
+        assert len(payload["vuln_types"]) == reference_campaign.n_sites
+        assert payload["vulnerable"] == np.flatnonzero(
+            reference_campaign.vulnerable
+        ).tolist()
+        for entry, result in zip(payload["results"], reference_campaign.results):
+            assert entry["flagged"] == np.flatnonzero(result.flags).tolist()
+            assert entry["confidence"] == result.scores[result.flags].tolist()
+
+    def test_malformed_site_columns_rejected(self, reference_campaign):
+        for mutate in (
+            lambda p: p["results"][0]["flagged"].append(10**6),
+            lambda p: p["results"][0]["confidence"].pop(),
+            lambda p: p["results"][0]["confidence"].__setitem__(0, 1.5),
+            lambda p: p["vulnerable"].reverse(),
+            lambda p: p["vuln_types"].__setitem__(0, 99),
+        ):
+            payload = campaign_to_dict(reference_campaign)
+            mutate(payload)
+            with pytest.raises(ConfigurationError):
+                campaign_from_dict(payload)
 
     def test_campaign_reanalysis_after_round_trip(
         self, reference_campaign, small_workload
@@ -82,11 +119,12 @@ class TestReportAndCampaignRoundTrip:
 
         rebuilt = campaign_from_dict(campaign_to_dict(reference_campaign))
         assert rebuilt.metric_values(d.MCC) == reference_campaign.metric_values(d.MCC)
-        breakdowns = campaign_breakdowns(rebuilt, small_workload.truth)
+        breakdowns = campaign_breakdowns(rebuilt)
         assert set(breakdowns) == set(rebuilt.tool_names)
+        assert breakdowns == campaign_breakdowns(reference_campaign)
 
-    def test_report_schema_checked(self, reference_campaign):
-        payload = report_to_dict(reference_campaign.results[0].report)
+    def test_report_schema_checked(self, small_workload):
+        payload = report_to_dict(suite_report(small_workload))
         payload["schema"] = "nope"
         with pytest.raises(ConfigurationError):
             report_from_dict(payload)

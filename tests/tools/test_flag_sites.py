@@ -14,6 +14,11 @@ every site:
 - a deterministic sweep: every ecosystem × every single tool family,
   sharded totals equal the object path's totals;
 - a tool without a columnar form is refused, not routed elsewhere.
+
+The same property holds the scored form to the object path:
+``site_scores`` must equal ``analyze``'s confidences placed by site
+index, compared as exact floats, for the four classes of the reference
+suite; the other classes refuse it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ from repro.workload.taxonomy import VulnerabilityType
 SEED = 2015
 
 unit_interval = st.floats(0.0, 1.0)
+confidences = st.floats(0.0, 1.0, exclude_min=True)
 seeds = st.integers(0, 2**31)
+
+#: The classes with a scored columnar form (the reference suite's).
+SCORED = (DynamicInjector, PatternScanner, SimulatedTool, TaintAnalyzer)
 
 
 @st.composite
@@ -63,6 +72,7 @@ def static_tools(name):
             PatternScanner,
             name=st.just(name),
             respect_sanitizers=st.booleans(),
+            confidence=confidences,
         ),
         st.builds(
             TaintAnalyzer,
@@ -70,6 +80,7 @@ def static_tools(name):
             max_chain_depth=st.none() | st.integers(0, 9),
             trust_sanitizers=st.booleans(),
             concat_taint_loss=st.booleans(),
+            confidence=confidences,
         ),
     )
 
@@ -86,6 +97,7 @@ def stochastic_tools(name):
             difficulty_penalty=unit_interval,
             false_alarm_rate=st.floats(0.0, 0.99),
             seed=seeds,
+            confidence=confidences,
         ),
         st.builds(
             SimulatedTool,
@@ -97,6 +109,7 @@ def stochastic_tools(name):
                 recall_by_type=type_rates,
                 fpr_by_type=type_rates,
                 difficulty_sensitivity=unit_interval,
+                ranking_quality=unit_interval,
             ),
             seed=seeds,
         ),
@@ -137,6 +150,13 @@ def analyze_mask(tool, workload) -> np.ndarray:
     )
 
 
+def analyze_scores(tool, workload) -> np.ndarray:
+    confidence = {d.site: d.confidence for d in tool.analyze(workload).detections}
+    return np.array(
+        [confidence.get(site, 0.0) for site in workload.truth.sites], dtype=float
+    )
+
+
 class TestFlagSitesParity:
     @settings(max_examples=60, deadline=None)
     @given(columns=shard_columns(), tools=tool_suites())
@@ -146,6 +166,14 @@ class TestFlagSitesParity:
             flags = tool.flag_sites(columns)
             assert flags.dtype == np.bool_
             assert np.array_equal(flags, analyze_mask(tool, workload)), tool
+            if isinstance(tool, SCORED):
+                scores = tool.site_scores(columns)
+                assert scores.dtype == np.float64
+                assert np.array_equal(scores, analyze_scores(tool, workload)), tool
+                assert np.array_equal(scores > 0, flags), tool
+            else:
+                with pytest.raises(ToolError, match=type(tool).__name__):
+                    tool.site_scores(columns)
         cells = evaluate_shard(tools, columns, 0)
         for row, tool in enumerate(tools):
             cm = score_report(tool.analyze(workload), workload.truth)
@@ -187,3 +215,14 @@ class TestToolsWithoutColumnarForm:
             tool.flag_sites(columns)
         with pytest.raises(ToolError, match="ThresholdedTool"):
             evaluate_shard([tool], columns, 0)
+        with pytest.raises(ToolError, match="ThresholdedTool"):
+            tool.site_scores(columns)
+
+    def test_ensemble_and_sca_have_no_scores(self):
+        columns = plan_shards(scale=20, shard_size=20, seed=SEED).columns(0)
+        sca = ScaMatcher(name="sca")
+        ensemble = EnsembleTool("ens", members=[PatternScanner(), sca], quorum=1)
+        for tool in (sca, ensemble):
+            tool.flag_sites(columns)  # a columnar verdict, but no scores
+            with pytest.raises(ToolError, match=type(tool).__name__):
+                tool.site_scores(columns)
