@@ -8,13 +8,24 @@ bottleneck: ``BENCH_shard.json`` showed ~4k units/s flat from 2k to 1M
 units while the vectorized metric side sustains ~558k resamples/s.
 
 This module replaces the hot path without replacing the contract.  It
-draws a whole shard's randomness as bulk PCG64 words, decodes them into
-*columnar* site records (numpy arrays: type codes, vulnerable/decoy
-flags, chain lengths, branch bitmasks, sanitizer codes), labels the
-ground truth with one vectorized pass, and only materializes scalar
+draws a whole shard's randomness as bulk PCG64 words and decodes them
+into *columnar* site records (numpy arrays: type codes, vulnerable/decoy
+flags, chain lengths, branch bitmasks, sanitizer codes) in three steps:
+
+1. every word's uniform is compared once, vectorized, against the
+   config's thresholds, and the outcomes are packed into one *flag byte*
+   per word;
+2. a Python walk over the flag bytes finds the data-dependent draw
+   boundaries the scalar generator would produce.  It records one packed
+   int per site (where the site's words start, where its hops start, its
+   chain length) plus the cross-class sanitizer draws, and nothing else;
+3. every column is then derived from those records as array code,
+   gathering the uniforms at each site's word positions.
+
+Ground truth is labelled with one vectorized pass, and scalar
 :class:`~repro.workload.code_model.CodeUnit` /
-:class:`~repro.workload.code_model.Statement` objects at the boundary
-where tools consume them.
+:class:`~repro.workload.code_model.Statement` objects are only
+materialized at the boundary where tools consume them.
 
 Parity contract
 ---------------
@@ -33,11 +44,12 @@ This works because every scalar draw maps deterministically onto the raw
   it through ``searchsorted`` on the normalized cumulative weights.
 
 The decoder reproduces all three exactly — including Lemire rejection
-redraws and the zero-span case that consumes nothing — so the boundary
-walk lands on the same words the scalar generator would.  The contract
+redraws (:func:`_draw_int`) and the zero-span case that consumes
+nothing — so the boundary walk lands on the same words the scalar
+generator would.  The contract
 is guarded by ``tests/workload/test_batch_parity.py`` (all registered
-ecosystems, ragged shards, isolated regeneration) and by the
-generation smoke in ``tools/check_bench.py``.
+ecosystems, ragged shards, isolated regeneration, generated configs)
+and by the generation smoke in ``tools/check_bench.py``.
 
 Configs the decoder cannot represent (chains longer than 64 hops, or
 integer spans at or above 2**32, which switch numpy to a different
@@ -48,6 +60,7 @@ scalar path for those, so the dispatch is always safe.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,14 +214,55 @@ class ShardColumns:
         return dependency_mask(self.unit_ids(), dependency_fraction)
 
 
+def _draw_int(next32: Callable[[], int], lo: int, span: int) -> int:
+    """numpy's buffered 32-bit Lemire draw of an int in ``[lo, lo + span]``.
+
+    ``next32`` yields the 32-bit halves PCG64 hands ``Generator.integers``:
+    the low half of a fresh word, then the cached high half.  A draw whose
+    low product half falls below ``2**32 mod (span + 1)`` is rejected and
+    drawn again, as in numpy's ``buffered_bounded_lemire_uint32``.
+    ``span`` is at least 1: numpy reads nothing for a zero span, and the
+    walk in :func:`decode_columns` settles those draws without calling
+    this.
+    """
+    rng_excl = span + 1
+    threshold = (_MASK32 - span) % rng_excl
+    m = next32() * rng_excl
+    while m & _MASK32 < threshold:
+        m = next32() * rng_excl
+    return lo + (m >> 32)
+
+
+def _draw_words(
+    bit_generator: np.random.PCG64, n_words: int, config: WorkloadConfig
+) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """``n_words`` fresh raw words, their uniforms and their flag bytes.
+
+    A word's uniform is ``rng.random()``'s value for it.  Its flag byte
+    holds every threshold the walk in :func:`decode_columns` asks of it:
+    bit 0 ``u < prevalence``, bit 1 ``u < decoy_fraction``, bit 2
+    ``u < cross_class_sanitizer_rate``, and bits 3–4 the words a hop
+    starting at it reads, ``1 + (u < 0.3)`` (a branch hop also reads its
+    operand-order word).
+    """
+    raw = bit_generator.random_raw(n_words)
+    uniforms = (raw >> np.uint64(11)) * _DOUBLE_SCALE
+    flags = (uniforms < 0.3).view(np.uint8) + np.uint8(1)
+    flags <<= np.uint8(3)
+    flags |= (uniforms < config.prevalence).view(np.uint8)
+    flags |= (uniforms < config.decoy_fraction).view(np.uint8) << np.uint8(1)
+    flags |= (uniforms < config.cross_class_sanitizer_rate).view(np.uint8) << np.uint8(2)
+    return raw, uniforms, flags.tobytes()
+
+
 def decode_columns(config: WorkloadConfig) -> ShardColumns:
     """Decode ``config``'s full RNG stream into :class:`ShardColumns`.
 
-    Draws raw 64-bit PCG64 words in bulk, precomputes every per-word
-    derived value vectorized (uniform doubles, threshold comparisons,
-    type codes), then walks the word stream once in generation order to
-    find the data-dependent draw boundaries the scalar generator would
-    produce.  Word-for-word identical to
+    Draws raw 64-bit PCG64 words in bulk with one flag byte per word,
+    walks the flag bytes once in generation order to find the
+    data-dependent draw boundaries the scalar generator would produce
+    (one packed record per site), then derives every column from those
+    records as array code.  Word-for-word identical to
     :func:`~repro.workload.generator.generate_workload_scalar` — see the
     module docstring for the stream emulation details.
 
@@ -226,41 +280,32 @@ def decode_columns(config: WorkloadConfig) -> ShardColumns:
     p = weights / weights.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    enum_code = [_ENUM_ORDER.index(t) for t in types]
+    enum_code = np.array([_ENUM_ORDER.index(t) for t in types], dtype=np.int64)
 
     s_lo, s_hi = config.sites_per_unit
     c_lo, c_hi = config.chain_length_range
     s_span = s_hi - s_lo
     c_span = c_hi - c_lo
     n_other = len(_ENUM_ORDER) - 1
-    prevalence = config.prevalence
-    decoy_fraction = config.decoy_fraction
-    ccr = config.cross_class_sanitizer_rate
     n_units = config.n_units
 
     bit_generator = np.random.PCG64(derive_seed(config.seed, f"workload:{config.name}"))
-
-    # Precomputed per-word columns, extended chunk-at-a-time.  Plain
-    # Python lists: single-element indexing during the walk is several
-    # times faster than numpy scalar indexing.
-    uniforms: list[float] = []
-    words: list[int] = []
-    type_codes: list[int] = []
 
     avg_sites = (s_lo + s_hi) / 2.0
     avg_chain = (c_lo + c_hi) / 2.0
     words_per_unit = 1.0 + avg_sites * (4.0 + 1.3 * avg_chain)
     first_chunk = int(n_units * words_per_unit * 1.15) + 64
-    refill_chunk = max(1024, first_chunk // 4)
+    # The most words one unit reads outside next32: its sites draw, then
+    # per site type, vulnerable, decoy, chain, two per hop and the
+    # post-assign (a vulnerable site reads no decoy or post-assign word,
+    # only the cross-class flag; its cross draw goes through next32).
+    # next32 reserves the same budget from every fresh word it reads, so
+    # a Lemire redraw, which no budget counts, cannot push the rest of
+    # its unit past the buffer.
+    unit_budget = 1 + s_hi * (5 + 2 * c_hi)
 
-    def refill(n_words: int) -> None:
-        raw = bit_generator.random_raw(n_words)
-        uniform_chunk = (raw >> np.uint64(11)) * _DOUBLE_SCALE
-        words.extend(raw.tolist())
-        uniforms.extend(uniform_chunk.tolist())
-        type_codes.extend(cdf.searchsorted(uniform_chunk, side="right").tolist())
-
-    refill(first_chunk)
+    raw, uniforms, flags = _draw_words(bit_generator, first_chunk, config)
+    words = memoryview(raw)
 
     # Stream cursor: `pos` indexes the next unconsumed 64-bit word;
     # integer draws additionally share PCG64's persistent half-word
@@ -269,121 +314,158 @@ def decode_columns(config: WorkloadConfig) -> ShardColumns:
     has32 = False
     cached32 = 0
 
+    def reserve(n_words: int) -> None:
+        # Extend the buffer so that words pos .. pos + n_words - 1 exist,
+        # growing it by at least a quarter so that refills stay rare.
+        nonlocal raw, uniforms, flags, words
+        missing = pos + n_words - len(flags)
+        if missing > 0:
+            more_raw, more_uniforms, more_flags = _draw_words(
+                bit_generator, max(missing, len(flags) // 4, 1024), config
+            )
+            raw = np.concatenate((raw, more_raw))
+            uniforms = np.concatenate((uniforms, more_uniforms))
+            flags += more_flags
+            words = memoryview(raw)
+
     def next32() -> int:
         nonlocal pos, has32, cached32
         if has32:
             has32 = False
             return cached32
-        if pos >= len(words):
-            refill(refill_chunk)
+        reserve(unit_budget)
         word = words[pos]
         pos += 1
         has32 = True
         cached32 = word >> 32
         return word & _MASK32
 
-    def draw_int(lo: int, span: int) -> int:
-        # numpy's buffered 32-bit Lemire bounded draw, including the
-        # rejection loop and the draw-free zero-span case.
-        if span == 0:
-            return lo
-        rng_excl = span + 1
-        m = next32() * rng_excl
-        leftover = m & _MASK32
-        if leftover < rng_excl:
-            threshold = (_MASK32 - span) % rng_excl
-            while leftover < threshold:
-                m = next32() * rng_excl
-                leftover = m & _MASK32
-        return lo + (m >> 32)
+    # The sites and chain draws are next32 + _draw_int inlined: a fresh
+    # 32-bit half, one product, and a rejection test against the span's
+    # precomputed threshold.  A rejected draw is drawn again through
+    # _draw_int, which is what numpy's rejection loop does.
+    s_excl = s_span + 1
+    s_reject = (_MASK32 - s_span) % s_excl
+    c_excl = c_span + 1
+    c_reject = (_MASK32 - c_span) % c_excl
 
     unit_sites: list[int] = []
-    col_type: list[int] = []
-    col_vuln: list[bool] = []
-    col_decoy: list[bool] = []
-    col_chain: list[int] = []
-    col_branch: list[int] = []
-    col_order: list[int] = []
-    col_cross: list[int] = []
-    col_post: list[bool] = []
-
-    site_budget = 4 + 2 * c_hi  # worst-case full words per site
+    # Per site, `start << 14 | (first_hop - start) << 7 | chain`: the
+    # offset is 2-4 words and the chain at most MAX_CHAIN.
+    records: list[int] = []
+    cross_draws: list[int] = []
+    add_record = records.append
 
     for _ in range(n_units):
-        n_sites = draw_int(s_lo, s_span)
+        if pos + unit_budget > len(flags):
+            reserve(unit_budget)
+        if s_span == 0:
+            n_sites = s_lo
+        else:
+            if has32:
+                has32 = False
+                m = cached32 * s_excl
+            else:
+                word = words[pos]
+                pos += 1
+                has32 = True
+                cached32 = word >> 32
+                m = (word & _MASK32) * s_excl
+            if m & _MASK32 < s_reject:
+                n_sites = _draw_int(next32, s_lo, s_span)
+            else:
+                n_sites = s_lo + (m >> 32)
         unit_sites.append(n_sites)
         for _ in range(n_sites):
-            if pos + site_budget > len(words):
-                refill(refill_chunk)
-            type_code = type_codes[pos]
-            pos += 1
-            vulnerable = uniforms[pos] < prevalence
-            pos += 1
+            # Type word, vulnerable word, and a safe site's decoy word.
+            start = pos
+            vulnerable = flags[pos + 1] & 1
             if vulnerable:
-                decoy = False
+                pos += 2
             else:
-                decoy = uniforms[pos] < decoy_fraction
-                pos += 1
-            chain = draw_int(c_lo, c_span)
-            branch_mask = 0
-            order_mask = 0
-            bit = 1
-            for _ in range(chain):
-                if uniforms[pos] < 0.3:
-                    pos += 1
-                    branch_mask |= bit
-                    if uniforms[pos] < 0.5:
-                        order_mask |= bit
-                    pos += 1
+                decoy = flags[pos + 2] & 2
+                pos += 3
+            if c_span == 0:
+                chain = c_lo
+            else:
+                if has32:
+                    has32 = False
+                    m = cached32 * c_excl
                 else:
+                    word = words[pos]
                     pos += 1
-                bit <<= 1
-            cross_code = -1
+                    has32 = True
+                    cached32 = word >> 32
+                    m = (word & _MASK32) * c_excl
+                if m & _MASK32 < c_reject:
+                    chain = _draw_int(next32, c_lo, c_span)
+                else:
+                    chain = c_lo + (m >> 32)
+            add_record(start << 14 | (pos - start) << 7 | chain)
+            for _ in range(chain):
+                pos += flags[pos] >> 3
+            # The hop-end word: a vulnerable site's cross-class flag, or
+            # a decoy's post-assign draw.
             if vulnerable:
-                cross = uniforms[pos] < ccr
+                crossed = flags[pos] & 4
                 pos += 1
-                if cross:
-                    relative = draw_int(0, n_other - 1)
-                    own = enum_code[type_code]
-                    cross_code = relative if relative < own else relative + 1
-            post = False
-            if decoy:
-                post = uniforms[pos] < 0.5
+                if crossed:
+                    cross_draws.append(_draw_int(next32, 0, n_other - 1))
+            elif decoy:
                 pos += 1
-            col_type.append(type_code)
-            col_vuln.append(vulnerable)
-            col_decoy.append(decoy)
-            col_chain.append(chain)
-            col_branch.append(branch_mask)
-            col_order.append(order_mask)
-            col_cross.append(cross_code)
-            col_post.append(post)
+    # The hop pass below reads up to one word past the last hop end.
+    reserve(2)
+
+    packed = np.asarray(records, dtype=np.int64)
+    n_rows = len(records)
+    starts = packed >> 14
+    site_chain = packed & 127
+    site_type = cdf.searchsorted(uniforms[starts], side="right").astype(np.int8)
+    site_vulnerable = uniforms[starts + 1] < config.prevalence
+    site_decoy = ~site_vulnerable & (uniforms[starts + 2] < config.decoy_fraction)
+
+    # Step every site through its hops at once, up to the longest chain:
+    # `cur` is the word of the site's current hop, and a site past its
+    # last hop stays on its hop-end word.
+    cur = starts + ((packed >> 7) & 127)
+    site_branch_mask = np.zeros(n_rows, dtype=np.uint64)
+    site_order_mask = np.zeros(n_rows, dtype=np.uint64)
+    branch_hops = np.zeros(n_rows, dtype=np.int64)
+    for hop in range(int(site_chain.max())):
+        active = site_chain > hop
+        branch = active & (uniforms[cur] < 0.3)
+        order = branch & (uniforms[cur + 1] < 0.5)
+        bit = np.uint64(1 << hop)
+        site_branch_mask |= branch * bit
+        site_order_mask |= order * bit
+        branch_hops += branch
+        cur += active
+        cur += branch
+    hop_end = uniforms[cur]
+    site_cross = site_vulnerable & (hop_end < config.cross_class_sanitizer_rate)
+    site_post_assign = site_decoy & (hop_end < 0.5)
+    # Cross draws arrive in walk order, which is row order: relative to
+    # the n_other types that are not the site's own.
+    relative = np.asarray(cross_draws, dtype=np.int64)
+    own = enum_code[site_type[site_cross]]
+    site_cross_type = np.full(n_rows, -1, dtype=np.int8)
+    site_cross_type[site_cross] = np.where(relative < own, relative, relative + 1)
 
     unit_n_sites = np.asarray(unit_sites, dtype=np.int64)
-    site_type = np.asarray(col_type, dtype=np.int8)
-    site_vulnerable = np.asarray(col_vuln, dtype=bool)
-    site_decoy = np.asarray(col_decoy, dtype=bool)
-    site_chain = np.asarray(col_chain, dtype=np.int64)
-    site_branch_mask = np.asarray(col_branch, dtype=np.uint64)
-    site_order_mask = np.asarray(col_order, dtype=np.uint64)
-    site_cross_type = np.asarray(col_cross, dtype=np.int8)
-    site_post_assign = np.asarray(col_post, dtype=bool)
-
     unit_site_offset = np.concatenate(([0], np.cumsum(unit_n_sites)[:-1]))
     site_unit = np.repeat(np.arange(n_units, dtype=np.int64), unit_n_sites)
     site_in_unit = (
-        np.arange(site_type.shape[0], dtype=np.int64)
+        np.arange(n_rows, dtype=np.int64)
         - np.repeat(unit_site_offset, unit_n_sites)
     )
 
     # Statement layout, vectorized: head + chain hops (+1 const per
     # branch hop) + optional sanitizers/post-assign + sink.
-    branch_hops = np.bitwise_count(site_branch_mask).astype(np.int64)
     site_statements = (
         2
         + site_chain
         + branch_hops
-        + (site_cross_type >= 0).astype(np.int64)
+        + site_cross.astype(np.int64)
         + site_decoy.astype(np.int64)
         + site_post_assign.astype(np.int64)
     )
@@ -394,7 +476,7 @@ def decode_columns(config: WorkloadConfig) -> ShardColumns:
     # Difficulty, same float expression order as the scalar generator.
     span = max(c_hi - c_lo, 1)
     base = (site_chain - c_lo) / span
-    bonus = np.where(site_cross_type >= 0, 0.2, 0.0)
+    bonus = np.where(site_cross, 0.2, 0.0)
     site_difficulty = np.minimum(1.0, 0.8 * base + bonus)
 
     columns = ShardColumns(

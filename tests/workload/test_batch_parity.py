@@ -142,6 +142,23 @@ class TestDegenerateConfigs:
             name="deg-maxchain",
         ),
         WorkloadConfig(n_units=1, seed=10, name="deg-oneunit"),
+        # One wide unit of decoys, seeded so that a site near the end of
+        # the first word buffer takes its worst case: type, vulnerable,
+        # decoy, chain, two words per hop and its post-assign, 5 + 2 * c_hi
+        # words, one more than a per-site reserve of 4 + 2 * c_hi covers.
+        *(
+            WorkloadConfig(
+                n_units=1,
+                sites_per_unit=(1, s_hi),
+                chain_length_range=(1, 2),
+                prevalence=0.001,
+                decoy_fraction=1.0,
+                cross_class_sanitizer_rate=0.0,
+                seed=seed,
+                name="ob1",
+            )
+            for seed, s_hi in ((188971448, 51), (1093169891, 88), (1995878603, 49))
+        ),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.name)
