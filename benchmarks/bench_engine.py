@@ -15,10 +15,11 @@ holdable without slack).
 Three perf benches cover the parallel rails: bootstrap throughput compares
 the scalar reference loop (``bootstrap_metric_scalar``) against the batch
 kernels over the full metric catalog and asserts identical statistics; the
-executor bench compares ``--executor thread`` against ``process`` on a
-bootstrap-heavy subset and asserts identical reports; and the shard
-executor bench times a sharded campaign on both executors, from fresh
-pools with zero cache hits, and asserts byte-identical cells.
+executor bench compares ``--executor thread`` (inline, one task at a
+time) against ``process`` on a bootstrap-heavy subset and asserts
+identical reports; and the shard executor bench times a sharded campaign
+on both executors, from fresh pools with zero cache hits, and asserts
+byte-identical cells.
 Multi-core speedup assertions are skipped (with a logged reason) when
 ``cpu_count < 2`` — every recorded section carries ``cpu_count`` so
 single-core numbers read as what they are.
@@ -199,7 +200,8 @@ def test_bench_bootstrap_throughput(save_result):
 
 
 def test_bench_executor_thread_vs_process(save_result):
-    """``--executor process`` on a CPU-bound subset, against threads.
+    """``--executor process`` on a CPU-bound subset, against the inline
+    thread executor (which runs one experiment at a time, so at jobs=1).
 
     The contract under test is identity: both executors must render the
     same reports at the same seed.  The wall-clock ratio is asserted only
@@ -212,7 +214,8 @@ def test_bench_executor_thread_vs_process(save_result):
 
     def timed(executor):
         started = time.perf_counter()
-        run = run_experiments(EXECUTOR_IDS, seed=SEED, jobs=JOBS, executor=executor)
+        jobs = JOBS if executor == "process" else 1
+        run = run_experiments(EXECUTOR_IDS, seed=SEED, jobs=jobs, executor=executor)
         return run, time.perf_counter() - started
 
     thread_run, thread_s = timed("thread")
@@ -235,7 +238,7 @@ def test_bench_executor_thread_vs_process(save_result):
             f"a process win is impossible on one core]"
         )
     line = (
-        f"executor {'+'.join(EXECUTOR_IDS)} (jobs={JOBS}, "
+        f"executor {'+'.join(EXECUTOR_IDS)} (process jobs={JOBS}, "
         f"cpu_count={cpu_count}): thread {thread_s:.2f}s, "
         f"process {process_s:.2f}s ({speedup:.2f}x), reports "
         f"byte-identical{note}"
@@ -352,13 +355,15 @@ def test_bench_shard_executor(save_result):
 
     Two contracts: both executors fold identical cells, and on a
     multi-core machine the process executor's median beats the thread
-    executor's by >=1.5x.  On a single core the speedup assertion is
-    skipped (logged below) and the process path must merely stay close
-    to threads — worker reuse is what keeps it from *losing*, which is
-    exactly the regression this bench would catch.
+    executor's by >=1.5x.  The thread executor runs every shard inline,
+    one at a time, so its side runs at jobs=1.  On a single core the
+    speedup assertion is skipped (logged below) and the process path
+    must merely stay close to threads — worker reuse is what keeps it
+    from *losing*, which is exactly the regression this bench would
+    catch.
 
-    Every timed run gets a fresh pool (or thread pool), warmed by a
-    campaign at a different scale: warm-up lands in workers that the
+    Every timed run is warmed by a campaign at a different scale, the
+    process side in a fresh pool: warm-up lands in workers that the
     timed run reuses, but no shard key is shared, so a timed run cannot
     fold cells an earlier run computed — asserted as zero cache hits.
     The executors alternate which goes first in each round, so drift on
@@ -374,7 +379,7 @@ def test_bench_shard_executor(save_result):
             scale=scale,
             shard_size=SHARD_BENCH_SHARD_SIZE,
             seed=SEED,
-            jobs=JOBS,
+            jobs=JOBS if executor == "process" else 1,
             executor=executor,
             obs=obs,
         )
@@ -427,7 +432,7 @@ def test_bench_shard_executor(save_result):
             f"non-regression instead]"
         )
     line = (
-        f"shard executor {SHARD_BENCH_SCALE}-unit campaign (jobs={JOBS}, "
+        f"shard executor {SHARD_BENCH_SCALE}-unit campaign (process jobs={JOBS}, "
         f"cpu_count={cpu_count}, median of {SHARD_BENCH_ROUNDS} alternating "
         f"rounds, 0 cache hits): thread {thread_s:.2f}s "
         f"[{thread_q1:.2f}-{thread_q3:.2f}], process {process_s:.2f}s "

@@ -19,7 +19,7 @@ pieces:
   shards of a ``--scale`` campaign, folding cells into exact totals, with
   a write-ahead journal and graceful drain;
 - :mod:`~repro.bench.engine.runner` — the one supervised task loop both of
-  those drive: inline, thread or process execution, retries, keep-going,
+  those drive: inline or process-pool execution, retries, keep-going,
   worker-crash supervision and the heartbeat watchdog;
 - :mod:`~repro.bench.engine.faults` — a deterministic fault-injection
   harness (fail-on-attempt-K, hang-for-N-seconds, kill-the-worker,
@@ -28,7 +28,8 @@ pieces:
 
 Serial and parallel runs at the same seed produce byte-identical rendered
 reports; the manifest is how you check that the expensive artifacts were
-computed exactly once.
+computed once per store (once in a serial run, once per worker in a
+process run).
 """
 
 from repro.bench.engine.artifacts import (
@@ -64,7 +65,6 @@ from repro.bench.engine.shards import (
 from repro.bench.engine.scheduler import (
     EXECUTORS,
     EngineRun,
-    ErrorPolicy,
     run_experiments,
     topological_order,
 )
@@ -95,7 +95,6 @@ __all__ = [
     "FailureRecord",
     "RunManifest",
     "EngineRun",
-    "ErrorPolicy",
     "EXECUTORS",
     "SHARD_MANIFEST_SCHEMA",
     "SHARD_STATUSES",

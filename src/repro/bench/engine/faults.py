@@ -21,7 +21,7 @@ executor without any real flakiness:
   ``os._exit`` mid-attempt, simulating a segfaulting tool process; the
   runner's supervision must rebuild the pool and re-dispatch (and
   quarantine the experiment or shard when the kills never stop).  Kill
-  faults require the process executor: on threads the task would kill
+  faults require the process executor: run inline, the task would kill
   the parent itself;
 - **parent-side chaos** — a fault addressed to :data:`PARENT_FAULT_ID`
   is applied by the *campaign parent*, not a worker: ``kill=K`` SIGKILLs
@@ -32,8 +32,8 @@ executor without any real flakiness:
   simulating a crash mid-append to the write-ahead journal.
 
 The injection point is the start of each task attempt — the experiment
-and shard bodies, which run alike on the calling thread, a pool thread or
-a worker process (:mod:`repro.bench.engine.runner`); a :class:`FaultSpec`
+and shard bodies, which run alike on the calling thread or in a worker
+process (:mod:`repro.bench.engine.runner`); a :class:`FaultSpec`
 is a frozen dataclass of primitives, so it pickles across the process
 boundary unchanged.  Because the attempt number is passed in by the
 runner, fault decisions are pure functions — no hidden counters that

@@ -6,25 +6,25 @@ work as keyed tasks — experiments with in-set dependency edges, shards
 with none — and run them through a :class:`TaskRun` subclass that
 supplies only what differs per kind: the task body and its process-side
 call, the success and failure records, the counter prefix and the fault
-ids.  The loop itself — inline, thread-pool or process-pool execution,
-retries, keep-going with cascade skips, drain-and-raise, worker-crash
-supervision (pool rebuild, solo re-probes, quarantine), the heartbeat
-watchdog behind ``timeout``, and graceful drain — lives here, once.
-Process workers keep one persistent artifact store per
-``(seed, cache_dir)`` that every task kind shares (:func:`in_worker`).
+ids.  The loop itself — retries, keep-going with cascade skips,
+drain-and-raise, worker-crash supervision (pool rebuild, solo re-probes,
+quarantine), the heartbeat watchdog behind ``timeout``, and graceful
+drain — lives here, once.
+
+There are two executors, and :func:`check_policy` derives which one a
+run gets.  ``"thread"`` runs every task inline on the calling thread,
+one at a time; ``"process"`` runs them in a cached process pool, whose
+workers keep one persistent artifact store per ``(seed, cache_dir)``
+that every task kind shares (:func:`in_worker`).  Running tasks side by
+side (``jobs > 1``) or bounding them (``timeout``) takes processes: they
+use every core, and a hung one can be stopped.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Hashable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
 from typing import Any
 
@@ -68,13 +68,19 @@ def check_policy(
     retries: int = 0,
     timeout: float | None = None,
     jobs: int = 1,
-    executor: str = "thread",
+    executor: str | None = None,
     faults: FaultPlan | None = None,
-) -> None:
-    """Reject an invalid run policy before any work starts."""
+) -> str:
+    """Reject an invalid run policy before any work starts; return the
+    executor that runs it.
+
+    An unset ``executor`` resolves to ``"process"`` when ``jobs > 1`` or
+    a ``timeout`` is set, and to ``"thread"`` (inline) otherwise; an
+    explicit ``"thread"`` with either setting is rejected.
+    """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if executor not in EXECUTORS:
+    if executor is not None and executor not in EXECUTORS:
         raise ConfigurationError(
             f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
@@ -82,13 +88,23 @@ def check_policy(
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
+    needs_processes = jobs > 1 or timeout is not None
+    if executor is None:
+        executor = "process" if needs_processes else "thread"
+    elif executor == "thread" and needs_processes:
+        wants = f"jobs={jobs}" if jobs > 1 else f"timeout={timeout}"
+        raise ConfigurationError(
+            f"{wants} requires executor='process' (or an unset executor): "
+            "executor='thread' runs tasks inline, one at a time"
+        )
     if faults is not None and executor != "process":
         for spec in faults.faults:
             if spec.kill_attempts and spec.experiment_id != PARENT_FAULT_ID:
                 raise ConfigurationError(
-                    "kill faults require executor='process': a killed "
-                    "thread worker would take the parent process with it"
+                    "kill faults require executor='process': a task run "
+                    "inline would take the parent process with it"
                 )
+    return executor
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +205,6 @@ class _Inline:
             future.set_exception(error)
         return future
 
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass
-
 
 @dataclass
 class _InFlight:
@@ -271,11 +284,6 @@ class TaskRun:
         self.trace = self.obs.tracer.enabled
         self.pool: Any = None
         self.board: HeartbeatBoard | None = None
-        self.inline = (
-            executor == "thread"
-            and timeout is None
-            and (jobs == 1 or len(self.queue) == 1)
-        )
 
     # -- what a task kind supplies -------------------------------------------
     def fault_ids(self, key: Hashable) -> tuple[str, ...]:
@@ -293,16 +301,12 @@ class TaskRun:
         return None
 
     def run_local(
-        self,
-        key: Hashable,
-        attempt: int,
-        fault: FaultSpec | None,
-        beat: Callable[[], None] | None,
+        self, key: Hashable, attempt: int, fault: FaultSpec | None
     ) -> Any:
-        """Run one attempt in this process (inline or on a pool thread):
-        by default the process-side body, against the run's own store."""
+        """Run one attempt inline on the calling thread: by default the
+        process-side body, against the run's own store."""
         body, *args = self.worker_call(key, attempt, fault)
-        return body(self.store, beat, *args)
+        return body(self.store, None, *args)
 
     def worker_call(
         self, key: Hashable, attempt: int, fault: FaultSpec | None
@@ -339,7 +343,7 @@ class TaskRun:
         silence; without it, ``jobs × window_per_job`` keeps workers fed
         while the parent folds.
         """
-        if self.inline:
+        if self.executor == "thread":
             return 1
         if self.timeout is None:
             return self.jobs * self.window_per_job
@@ -361,25 +365,16 @@ class TaskRun:
 
     def setup(self) -> None:
         """Start the executor and, under the watchdog, the heartbeat board."""
-        if self.executor == "process":
-            self.pool = cached_process_pool(self.pool_key, max_workers=self.jobs)
-            if self.timeout is not None:
-                self.board = HeartbeatBoard.create(self.window)
-        elif self.inline:
+        if self.executor == "thread":
             self.pool = _Inline()
-        else:
-            self.pool = ThreadPoolExecutor(max_workers=self.jobs)
-            if self.timeout is not None:
-                self.board = HeartbeatBoard.local(self.window)
+            return
+        self.pool = cached_process_pool(self.pool_key, max_workers=self.jobs)
+        if self.timeout is not None:
+            self.board = HeartbeatBoard.create(self.window)
 
     def teardown(self) -> None:
-        """Stop or retire the executor; close the heartbeat board."""
-        if self.executor == "thread":
-            # A wedged (abandoned) thread cannot be joined without
-            # blocking the drain; skip the wait and let it finish on its
-            # own or die with the interpreter.
-            self.pool.shutdown(wait=not self.abandoned, cancel_futures=True)
-        elif self.active or self.abandoned:
+        """Retire a process pool left mid-task; close the heartbeat board."""
+        if self.executor == "process" and (self.active or self.abandoned):
             # Aborting with tasks still in flight (or wedged workers): a
             # cached pool would hand the next run a worker mid-task, so
             # retire this one.
@@ -425,7 +420,9 @@ class TaskRun:
     def _submit(self, key: Hashable, attempt: int) -> None:
         fault = self.fault_for(key)
         hb_slot = self.board.acquire() if self.board is not None else None
-        if self.executor == "process":
+        if self.executor == "thread":
+            future = self.pool.submit(self.run_local, key, attempt, fault)
+        else:
             beat_slot = (
                 (self.board.name, self.board.n_slots, hb_slot)
                 if hb_slot is not None
@@ -447,9 +444,6 @@ class TaskRun:
                     if isinstance(error, BrokenExecutor)
                     else BrokenExecutor(str(error))
                 )
-        else:
-            beat = self.board.beater(hb_slot) if hb_slot is not None else None
-            future = self.pool.submit(self.run_local, key, attempt, fault, beat)
         self.active[future] = _InFlight(
             key=key,
             attempt=attempt,

@@ -2,19 +2,20 @@
 
 Orders the requested experiments topologically over their declared
 ``depends_on`` edges and runs them through the engine's one task loop
-(:class:`~repro.bench.engine.runner.TaskRun`) — inline at ``jobs=1``,
-concurrently when ``jobs > 1``.  Two executors are available: ``thread``
-(the default) shares one in-memory artifact store across a thread pool,
-while ``process`` runs :func:`_execute` in worker processes, against
-each worker's own store, for CPU-bound speedups past the GIL.  Every
+(:class:`~repro.bench.engine.runner.TaskRun`).  Two executors are
+available: ``thread`` runs :func:`_execute` inline on the calling
+thread, one experiment at a time, against the run's own artifact store;
+``process`` runs it in worker processes, against each worker's own
+store, up to ``jobs`` at a time.  Left unset, the executor is
+``process`` when ``jobs > 1`` or a ``timeout`` is set and ``thread``
+otherwise (:func:`~repro.bench.engine.runner.check_policy`).  Every
 stochastic component downstream derives its streams from explicit seeds
-(see :mod:`repro._rng`), and shared artifacts are deduplicated under
-per-key locks, so a parallel run produces byte-identical rendered
-reports to a serial run at the same seed; only the wall clock changes.
+(see :mod:`repro._rng`), so a parallel run produces byte-identical
+rendered reports to a serial run at the same seed; only the wall clock
+changes.
 
-Fault tolerance (the :class:`ErrorPolicy`): real campaigns are long and
-failure-prone, so a failing experiment no longer aborts the suite by
-default semantics alone —
+Fault tolerance: real campaigns are long and failure-prone, so a failing
+experiment no longer aborts the suite by default semantics alone —
 
 - ``retries=N`` re-runs a failed experiment up to N extra times *with the
   same explicit seed*, so a transient-failure rerun is bit-identical to a
@@ -25,9 +26,8 @@ default semantics alone —
   lets every independent experiment run to completion;
 - ``timeout=SECONDS`` arms the heartbeat watchdog: an experiment beats
   once at attempt start, so an attempt still running ``timeout`` seconds
-  later is recorded with status ``timeout`` and abandoned (threads cannot
-  be killed — the stale result, when it eventually arrives, is discarded
-  rather than recorded);
+  later is recorded with status ``timeout`` and abandoned, and the run
+  retires its worker pool, terminating the hung worker;
 - on the process executor a dead worker is supervised: the pool is
   rebuilt and the crashed experiments re-dispatched one at a time, and
   an experiment that keeps killing its workers is recorded ``failed``
@@ -72,26 +72,10 @@ from repro.obs import Observability
 
 __all__ = [
     "EngineRun",
-    "ErrorPolicy",
     "EXECUTORS",
     "run_experiments",
     "topological_order",
 ]
-
-
-@dataclass(frozen=True)
-class ErrorPolicy:
-    """What the scheduler does when an experiment fails or hangs."""
-
-    keep_going: bool = False
-    """Record terminal failures and continue instead of aborting."""
-    retries: int = 0
-    """Extra attempts per experiment after the first failure."""
-    timeout: float | None = None
-    """Per-attempt heartbeat budget in seconds (``None`` = unbounded)."""
-
-    def __post_init__(self) -> None:
-        check_policy(retries=self.retries, timeout=self.timeout)
 
 
 @dataclass(frozen=True)
@@ -150,8 +134,8 @@ def _execute(
 ) -> tuple[ExperimentRunRecord, ExperimentResult]:
     """Run one attempt of one experiment; return its record and result.
 
-    The task body of every executor: it runs against the run's store on
-    the calling thread or a pool thread, and against the worker's own
+    The task body of both executors: it runs against the run's store
+    inline on the calling thread, and against the worker's own
     store in a worker process — which is why the experiment is addressed
     by id (specs carry the driver callable) and re-resolved through the
     registry.  Lifecycle counters are the *runner's* job — a record
@@ -273,7 +257,7 @@ def run_experiments(
     store: ArtifactStore | None = None,
     cache_dir: str | None = None,
     obs: Observability | None = None,
-    executor: str = "thread",
+    executor: str | None = None,
     keep_going: bool = False,
     retries: int = 0,
     timeout: float | None = None,
@@ -282,17 +266,20 @@ def run_experiments(
 ) -> EngineRun:
     """Run ``ids`` through the engine; returns results plus a manifest.
 
-    ``jobs > 1`` executes independent experiments concurrently — in threads
-    by default, or in worker processes with ``executor="process"`` (which
-    always uses a :class:`~concurrent.futures.ProcessPoolExecutor`, even at
-    ``jobs=1``, and supervises it: a dead worker's experiments are
-    re-dispatched on a rebuilt pool).  Determinism is unaffected: every
-    experiment receives the same explicit seed either way (retries
-    included), and shared artifacts are computed exactly once under
-    per-key locks regardless of arrival order.
+    ``executor="thread"`` runs the experiments inline, one at a time;
+    ``executor="process"`` runs up to ``jobs`` independent experiments at
+    once in a supervised :class:`~concurrent.futures.ProcessPoolExecutor`
+    (even at ``jobs=1``; a dead worker's experiments are re-dispatched on
+    a rebuilt pool).  Left unset, the executor is ``process`` when
+    ``jobs > 1`` or a ``timeout`` is set and ``thread`` otherwise; an
+    explicit ``thread`` with either raises
+    :class:`~repro.errors.ConfigurationError`.  Determinism is
+    unaffected: every experiment receives the same explicit seed either
+    way (retries included), and each store computes a shared artifact
+    once.
 
     ``keep_going`` / ``retries`` / ``timeout`` form the error policy (see
-    :class:`ErrorPolicy` and the module docstring).  ``faults`` installs a
+    the module docstring).  ``faults`` installs a
     deterministic :class:`~repro.bench.engine.faults.FaultPlan`, used by
     the test suite and the CI smoke to exercise the failure paths.
 
@@ -309,7 +296,7 @@ def run_experiments(
     bundle; profiling is thread-executor-only, because cProfile sessions
     cannot be merged across processes.
     """
-    check_policy(
+    executor = check_policy(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
         faults=faults,
     )

@@ -16,10 +16,11 @@ Shards run through the engine's one task loop
 (:class:`~repro.bench.engine.runner.TaskRun`, the same loop experiments
 use), so engine semantics carry over wholesale:
 
-- **executors** — shards run inline, in a thread pool, or in worker
-  processes (``executor="process"``) that keep persistent artifact
-  stores and return each shard's cells inside their pickled outcome;
-  process pools are cached across campaigns
+- **executors** — shards run inline on the calling thread
+  (``executor="thread"``) or in worker processes (``executor="process"``,
+  the resolved default when ``jobs > 1`` or a ``timeout`` is set) that
+  keep persistent artifact stores and return each shard's cells inside
+  their pickled outcome; process pools are cached across campaigns
   (:mod:`repro.bench.engine.transport`), so follow-up runs find warm
   workers, and up to ``jobs × 4`` shards are in flight so workers stay
   fed while the parent folds;
@@ -390,7 +391,7 @@ class ShardedCampaignRun:
 
 
 # ---------------------------------------------------------------------------
-# Shard execution (shared by the inline, thread and process paths)
+# Shard execution (shared by the inline and process paths)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ShardOutcome:
@@ -586,7 +587,7 @@ def run_sharded_campaign(
     shard_size: int = DEFAULT_SHARD_SIZE,
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
-    executor: str = "thread",
+    executor: str | None = None,
     keep_going: bool = False,
     retries: int = 0,
     store: ArtifactStore | None = None,
@@ -610,8 +611,11 @@ def run_sharded_campaign(
     ecosystem runs the historical reference suite over the historical
     corpus, bit-identically to runs predating these parameters.
 
-    Shards execute under the requested executor with the engine's error
-    policy (``retries`` re-attempts at the same derived shard seed;
+    Shards execute inline (``executor="thread"``) or in worker processes
+    (``executor="process"``); left unset, the executor is ``process``
+    when ``jobs > 1`` or a ``timeout`` is set and ``thread`` otherwise,
+    and the manifest records the resolved value.  The engine's error
+    policy applies (``retries`` re-attempts at the same derived shard seed;
     ``keep_going`` records terminal failures and continues; without it the
     first terminal failure aborts with
     :class:`~repro.errors.ExperimentFailedError` after draining in-flight
@@ -640,7 +644,7 @@ def run_sharded_campaign(
     times out shards whose worker goes *silent* for that many seconds —
     hung, not merely slow.
     """
-    check_policy(
+    executor = check_policy(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
         faults=faults,
     )
@@ -885,10 +889,10 @@ class _ShardRun(TaskRun):
         # Padded (S000003) and bare (S3) ids both address shard 3.
         return (shard_fault_id(index), f"S{index}")
 
-    def run_local(self, index, attempt, fault, beat):
+    def run_local(self, index, attempt, fault):
         return _evaluate_one(
             self.plan, index, attempt, self.store, self.tools,
-            self.families, fault, beat,
+            self.families, fault,
         )
 
     def worker_call(self, index, attempt, fault):

@@ -11,12 +11,12 @@ Two small pieces the sharded runner composes into crash safety:
   even the hard path loses nothing that was folded).
 - :class:`HeartbeatBoard` — a per-slot array of worker heartbeats
   (``time.monotonic_ns()``, comparable across processes on the same
-  host), shared-memory-backed for the process executor and plain-numpy
-  for threads.  Workers beat at shard phase boundaries; the parent's
-  watchdog times a shard out only when its *heartbeat* goes silent past
-  ``--timeout``, which distinguishes a hung worker (no beats) from a
-  slow-but-alive one (beats keep arriving) — the distinction the
-  Android-tools study showed real campaigns need.
+  host) in a shared-memory segment the process workers attach.  Workers
+  beat at shard phase boundaries; the parent's watchdog times a shard
+  out only when its *heartbeat* goes silent past ``--timeout``, which
+  distinguishes a hung worker (no beats) from a slow-but-alive one
+  (beats keep arriving) — the distinction the Android-tools study
+  showed real campaigns need.
 
 The parent owns slot allocation (acquire on submit, release on
 completion), workers only ever write their assigned slot, and an
@@ -103,26 +103,25 @@ def graceful_shutdown(
 
 
 class HeartbeatBoard:
-    """A board of per-slot worker heartbeats (int64 monotonic-ns stamps).
+    """A shared-memory board of per-slot worker heartbeats (int64
+    monotonic-ns stamps).
 
-    ``create``/``attach`` build the shared-memory variant for process
-    executors (workers attach by segment name); ``local`` builds a plain
-    in-process array for the thread executor.  ``0`` means "never
-    beaten" — the parent then anchors the hung check on submission time
-    instead.
+    The parent ``create``s it and workers ``attach`` by segment name.
+    ``0`` means "never beaten" — the parent then anchors the hung check
+    on submission time instead.
     """
 
-    def __init__(self, array: np.ndarray, shm=None, owner: bool = False):
+    def __init__(self, array: np.ndarray, shm, owner: bool = False):
         self._array = array
         self._shm = shm
         self._owner = owner
         self.n_slots = int(array.shape[0])
-        self._free: list[int] = list(range(self.n_slots)) if owner or shm is None else []
+        self._free: list[int] = list(range(self.n_slots)) if owner else []
 
     @property
-    def name(self) -> str | None:
-        """The segment name workers attach by (``None`` for local boards)."""
-        return self._shm.name if self._shm is not None else None
+    def name(self) -> str:
+        """The segment name workers attach by."""
+        return self._shm.name
 
     @classmethod
     def create(cls, n_slots: int) -> "HeartbeatBoard":
@@ -137,15 +136,6 @@ class HeartbeatBoard:
         array = np.ndarray((n_slots,), dtype=np.int64, buffer=shm.buf)
         array[:] = 0
         return cls(array, shm=shm, owner=True)
-
-    @classmethod
-    def local(cls, n_slots: int) -> "HeartbeatBoard":
-        """An in-process board for the thread executor (no shm)."""
-        if n_slots < 1:
-            raise ConfigurationError(
-                f"heartbeat board needs >= 1 slot, got {n_slots}"
-            )
-        return cls(np.zeros(n_slots, dtype=np.int64))
 
     @classmethod
     def attach(cls, name: str, n_slots: int) -> "HeartbeatBoard":
@@ -192,8 +182,7 @@ class HeartbeatBoard:
     def close(self) -> None:
         """Detach; the creating side also unlinks the segment."""
         self._array = None
-        if self._shm is not None:
-            self._shm.close()
-            if self._owner:
-                self._shm.unlink()
-                self._owner = False
+        self._shm.close()
+        if self._owner:
+            self._shm.unlink()
+            self._owner = False

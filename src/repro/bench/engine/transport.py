@@ -9,7 +9,8 @@ returns.  What this module keeps is the state that outlives one task:
   construction, tool-suite build) and the per-worker stores, plans and
   tool suites it produces amortize over a whole session instead of one
   call.  Pools are evicted (and shut down) on LRU overflow, on a
-  :class:`BrokenExecutor`, or at interpreter exit.  Workers never
+  :class:`BrokenExecutor`, when a run leaves a task in flight (which
+  also terminates their workers), or at interpreter exit.  Workers never
   outlive their pool's creator: each one exits as soon as it is
   reparented (the creator died, even by SIGKILL), and SIGTERM kills it
   even when it forked while the CLI's drain handlers were installed;
@@ -198,17 +199,27 @@ def cached_process_pool(
         return pool
 
 
-def evict_process_pool(key: tuple[Any, ...], wait: bool = False) -> None:
-    """Drop (and shut down) the pool cached under ``key``, if any.
+def evict_process_pool(key: tuple[Any, ...]) -> None:
+    """Drop the pool cached under ``key``, if any, and end its workers.
 
     Callers evict on :class:`concurrent.futures.BrokenExecutor` — a broken
     pool poisons every later submission — and on abandoned futures, where
-    a worker may still be wedged in a task.
+    a worker may still be wedged in a task.  Shutting the pool down does
+    not stop a wedged worker, and interpreter exit would join it, so its
+    live workers are terminated (:func:`_init_pool_worker` gave SIGTERM
+    back its default action).
     """
     with _pool_lock:
         pool = _pools.pop(key, None)
-    if pool is not None:
-        pool.shutdown(wait=wait, cancel_futures=True)
+    if pool is None:
+        return
+    # ProcessPoolExecutor exposes its workers only through this private
+    # attribute (Python 3.14 adds terminate_workers()); shutdown clears it.
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        if worker.is_alive():
+            worker.terminate()
 
 
 def shutdown_cached_pools() -> None:

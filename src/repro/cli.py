@@ -6,8 +6,7 @@ Usage::
     python -m repro run R6 R11            # run specific experiments
     python -m repro run all --seed 7      # everything, custom seed
     python -m repro run R8 --out results  # also write results/<id>.txt
-    python -m repro run all --jobs 4      # parallel over the dependency graph
-    python -m repro run all --jobs 4 --executor process   # multi-core
+    python -m repro run all --jobs 4      # 4 worker processes over the graph
     python -m repro run all --cache-dir .cache --manifest run.json
     python -m repro run all --trace t.json --metrics-out m.json
     python -m repro run R3 R4 --profile   # cProfile each experiment -> results/
@@ -170,16 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run independent experiments in N threads (default 1: serial)",
+        help=(
+            "run up to N independent experiments (or shards) at once in "
+            "worker processes (default 1: serial)"
+        ),
     )
     run_parser.add_argument(
         "--executor",
         choices=("thread", "process"),
-        default="thread",
+        default=None,
         help=(
-            "how --jobs parallelism executes: 'thread' (default) shares one "
-            "in-memory artifact store; 'process' uses worker processes for "
-            "CPU-bound speedups (pair with --cache-dir to share artifacts)"
+            "'thread' runs every task inline on this thread, one at a time; "
+            "'process' runs them in worker processes (pair with --cache-dir "
+            "to share artifacts). Default: process with --jobs > 1 or "
+            "--timeout, else thread"
         ),
     )
     run_parser.add_argument(
@@ -250,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-attempt wall-clock budget in seconds; experiments past it "
-            "are recorded with status 'timeout' (never retried)"
+            "per-attempt wall-clock budget in seconds, enforced on worker "
+            "processes; experiments past it are recorded with status "
+            "'timeout' (never retried)"
         ),
     )
     run_parser.add_argument(
@@ -362,13 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard parallelism inside each campaign (default 1)",
+        help=(
+            "shard parallelism inside each campaign, in worker processes "
+            "(default 1)"
+        ),
     )
     serve_parser.add_argument(
         "--executor",
         choices=("thread", "process"),
-        default="thread",
-        help="campaign executor (as for 'run --scale'; default thread)",
+        default=None,
+        help=(
+            "campaign executor (as for 'run --scale'; default: process "
+            "with --jobs > 1, else thread)"
+        ),
     )
     serve_parser.add_argument(
         "--quantum",
@@ -434,7 +444,7 @@ def _cmd_run(
     trace_path: Path | None = None,
     metrics_path: Path | None = None,
     profile_dir: Path | None = None,
-    executor: str = "thread",
+    executor: str | None = None,
     keep_going: bool = False,
     retries: int = 0,
     timeout: float | None = None,
@@ -564,7 +574,7 @@ def _cmd_run_scale(
     seed: int,
     quiet: bool,
     jobs: int,
-    executor: str,
+    executor: str | None,
     cache_dir: Path | None,
     manifest_path: Path | None,
     trace_path: Path | None,
@@ -814,6 +824,7 @@ def _parse_tenant_weights(specs: Sequence[str] | None) -> dict[str, float]:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.errors import ConfigurationError
     from repro.serve.app import run_app
     from repro.serve.service import CampaignService, ServiceConfig
 
@@ -845,7 +856,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         weights=_parse_tenant_weights(args.tenant_weights),
     )
-    service = CampaignService(config)
+    try:
+        service = CampaignService(config)
+    except ConfigurationError as error:
+        raise SystemExit(f"serve aborted — {error}") from error
     recovered = service.start()
     for record in recovered:
         print(

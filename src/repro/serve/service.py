@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.bench.engine.runner import check_policy
 from repro.bench.engine.shards import run_sharded_campaign
 from repro.bench.engine.supervise import ShutdownSignal
 from repro.bench.engine.wal import is_journal, replay_journal
@@ -59,8 +60,9 @@ class ServiceConfig:
     """Concurrent campaigns (each one further parallelized by ``jobs``)."""
     jobs: int = 1
     """Shard parallelism inside one campaign."""
-    executor: str = "thread"
-    """Campaign executor: ``thread`` or ``process`` (cached pools)."""
+    executor: str | None = None
+    """Campaign executor: ``thread`` (inline) or ``process`` (cached
+    pools); unset, ``process`` when ``jobs > 1`` and ``thread`` otherwise."""
     quantum: int = DEFAULT_QUANTUM
     """DRR per-turn deficit top-up, in workload units."""
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
@@ -76,6 +78,8 @@ class CampaignService:
         self, config: ServiceConfig, obs: Observability | None = None
     ) -> None:
         self.config = config
+        self.executor = check_policy(jobs=config.jobs, executor=config.executor)
+        """The resolved campaign executor (raises before any job runs)."""
         self.obs = obs if obs is not None else Observability()
         self.queue = JobQueue(
             config.state_dir,
@@ -245,7 +249,7 @@ class CampaignService:
                 ecosystem=spec.ecosystem,
                 tool_families=spec.tool_families,
                 jobs=self.config.jobs,
-                executor=self.config.executor,
+                executor=self.executor,
                 keep_going=True,
                 cache_dir=str(self.cache_dir),
                 obs=job.obs,

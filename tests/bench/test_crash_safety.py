@@ -126,7 +126,7 @@ class TestWorkerSupervision:
         with pytest.raises(ConfigurationError, match="require executor"):
             run_sharded_campaign(
                 scale=400, shard_size=100, seed=SEED,
-                jobs=2, executor="thread",
+                jobs=1, executor="thread",
                 faults=kill_fault(2),
             )
 
@@ -224,9 +224,10 @@ class TestGracefulShutdown:
         self, executor, tmp_path, reference_1600
     ):
         wal = tmp_path / f"stop-{executor}.wal"
+        jobs = 1 if executor == "thread" else 2
         run = run_sharded_campaign(
             scale=1600, shard_size=100, seed=SEED,
-            jobs=2, executor=executor, wal_path=str(wal),
+            jobs=jobs, executor=executor, wal_path=str(wal),
             faults=FaultPlan((FaultSpec("PARENT", stop_after=2),)),
         )
         assert run.interrupted
@@ -240,7 +241,7 @@ class TestGracefulShutdown:
         assert not run.manifest.ok
 
         resumed = run_sharded_campaign(
-            resume_journal=str(wal), jobs=2, executor=executor
+            resume_journal=str(wal), jobs=jobs, executor=executor
         )
         assert resumed.ok
         assert not resumed.interrupted
@@ -268,7 +269,8 @@ class TestGracefulShutdown:
 
 
 class TestHeartbeatWatchdog:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    # Only processes take a timeout: a hung inline shard cannot be stopped.
+    @pytest.mark.parametrize("executor", ["process"])
     def test_hung_shard_times_out_keep_going(self, executor):
         obs = Observability()
         run = run_sharded_campaign(
@@ -434,13 +436,14 @@ class TestCrashRecoveryEndToEnd:
         self, executor, tmp_path, reference_400
     ):
         wal = tmp_path / f"kill-{executor}.wal"
+        jobs = "1" if executor == "thread" else "2"
         # No pipes here: a SIGKILL'd parent can leave orphaned pool workers
         # holding stdout/stderr open, which would wedge a capturing wait.
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "run",
                 "--scale", "400", "--shard-size", "100",
-                "--jobs", "2", "--executor", executor, "--quiet",
+                "--jobs", jobs, "--executor", executor, "--quiet",
                 "--inject-fault", "PARENT:kill=2", "--wal", str(wal),
             ],
             env=cli_env(), cwd=REPO_ROOT,
@@ -497,3 +500,53 @@ class TestCrashRecoveryEndToEnd:
         carried = resumed.manifest.extra["resume"]["carried"]
         assert carried, "the drained shards must carry over"
         assert len(carried) < 16
+
+
+class TestTimeoutEndToEnd:
+    """``--timeout`` bounds a CLI run on either rail: a task that never
+    returns is timed out, its worker is terminated, and the CLI exits."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["R1", "R4", "--jobs", "2", "--inject-fault", "R1:hang=30"],
+            [
+                "--scale", "400", "--shard-size", "100",
+                "--executor", "process", "--inject-fault", "s1:hang=30",
+            ],
+        ],
+        ids=["experiments", "shards"],
+    )
+    def test_hung_task_does_not_outlive_the_timeout(self, argv, tmp_path):
+        # Pool workers fork with the parent's command line, so the
+        # manifest path marks them too.
+        manifest = tmp_path / "hung.json"
+        stderr_path = tmp_path / "stderr.txt"
+        started = time.monotonic()
+        with stderr_path.open("w") as stderr:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "run", *argv,
+                    "--timeout", "2", "--keep-going", "--quiet",
+                    "--manifest", str(manifest),
+                ],
+                env=cli_env(), cwd=REPO_ROOT,
+                stdout=subprocess.DEVNULL, stderr=stderr,
+            )
+            try:
+                returncode = proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        elapsed = time.monotonic() - started
+        assert returncode == 1, stderr_path.read_text()[-500:]
+        assert "timeout after 1 attempt" in stderr_path.read_text()
+        assert elapsed < 15, (
+            f"the CLI exited {elapsed:.1f}s after starting; the hang is 30s"
+        )
+        if sys.platform.startswith("linux"):
+            survivors = wait_until_gone(str(manifest))
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            assert survivors == [], "the hung worker outlived the run"

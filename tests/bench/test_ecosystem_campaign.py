@@ -107,7 +107,7 @@ class TestShardedEcosystemRuns:
 
     def test_parity_across_executors(self):
         thread = run_sharded_campaign(
-            scale=50, shard_size=25, seed=7, ecosystem="iac", jobs=2
+            scale=50, shard_size=25, seed=7, ecosystem="iac", executor="thread"
         )
         process = run_sharded_campaign(
             scale=50, shard_size=25, seed=7, ecosystem="iac",

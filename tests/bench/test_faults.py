@@ -21,7 +21,8 @@ from repro.bench.engine.faults import (
     parse_fault,
 )
 from repro.bench.engine.manifest import RunManifest
-from repro.bench.engine.scheduler import ErrorPolicy, run_experiments
+from repro.bench.engine.runner import check_policy
+from repro.bench.engine.scheduler import run_experiments
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -30,11 +31,10 @@ from repro.errors import (
 )
 from repro.obs import Observability
 
-#: Executor/jobs combinations covering the serial path, the thread pool and
-#: the process pool.
+#: Executor/jobs combinations covering the inline path and the process
+#: pool.
 EXECUTION_MODES = [
     pytest.param("thread", 1, id="serial"),
-    pytest.param("thread", 2, id="thread-pool"),
     pytest.param("process", 2, id="process-pool"),
 ]
 
@@ -195,13 +195,15 @@ class TestCorruptFile:
 
 
 class TestErrorPolicy:
+    """``check_policy`` validates the error policy before any work starts."""
+
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError, match="retries"):
-            ErrorPolicy(retries=-1)
+            check_policy(retries=-1)
 
     def test_non_positive_timeout_rejected(self):
         with pytest.raises(ConfigurationError, match="timeout"):
-            ErrorPolicy(timeout=0)
+            check_policy(timeout=0)
 
 
 class TestKeepGoing:
@@ -373,7 +375,8 @@ class TestTimeout:
         run = run_experiments(["R1"], seed=2015, jobs=2, timeout=120.0)
         assert run.ok
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    # Only processes take a timeout: a hung inline task cannot be stopped.
+    @pytest.mark.parametrize("executor", ["process"])
     def test_wedged_worker_does_not_strand_the_queue(self, executor):
         # At jobs=1 the hang wedges the only worker: the experiments
         # queued behind it must still run, not be reaped unstarted.
@@ -400,7 +403,7 @@ def kill_r3(attempts: int) -> FaultPlan:
 class TestWorkerSupervision:
     def test_kill_fault_requires_process_executor(self):
         with pytest.raises(ConfigurationError, match="require executor"):
-            run_experiments(TRIAD, seed=2015, jobs=2, faults=kill_r3(1))
+            run_experiments(TRIAD, seed=2015, jobs=1, faults=kill_r3(1))
 
     def test_worker_kill_recovers_bit_identically(self):
         clean = run_experiments(TRIAD, seed=2015)

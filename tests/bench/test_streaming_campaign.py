@@ -111,7 +111,7 @@ class TestTransportParity:
         return run
 
     def test_cells_identical_across_executor_and_transport(self):
-        reference = self.run_campaign(jobs=2)
+        reference = self.run_campaign(executor="thread")
         run = self.run_campaign(jobs=2, executor="process")
         assert [r.cells for r in run.manifest.records] == [
             r.cells for r in reference.manifest.records
@@ -209,7 +209,7 @@ class TestShardFaultTolerance:
         )
         run = run_sharded_campaign(
             scale=130, shard_size=50, seed=SEED, retries=1, faults=faults,
-            jobs=2, executor=executor,
+            jobs=1 if executor == "thread" else 2, executor=executor,
         )
         assert run.ok
         assert run.manifest.record_for(1).attempts == 2

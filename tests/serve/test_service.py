@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench.engine.shards import run_sharded_campaign
 from repro.bench.engine.wal import replay_journal
-from repro.errors import ServeError
+from repro.errors import ConfigurationError, ServeError
 from repro.persist import streaming_totals_to_dict
 from repro.serve.queue import JobSpec
 from repro.serve.service import CampaignService, ServiceConfig
@@ -57,6 +57,17 @@ class TestExecution:
         with pytest.raises(ServeError, match="not ready") as info:
             idle.result(record.job_id)
         assert info.value.status == 409
+
+    def test_executor_resolves_once_at_construction(self, tmp_path):
+        config = ServiceConfig(state_dir=tmp_path / "s", jobs=2)
+        assert CampaignService(config).executor == "process"
+        assert CampaignService(
+            ServiceConfig(state_dir=tmp_path / "s")
+        ).executor == "thread"
+        with pytest.raises(ConfigurationError, match="jobs=2 requires"):
+            CampaignService(
+                ServiceConfig(state_dir=tmp_path / "s", jobs=2, executor="thread")
+            )
 
     def test_bad_submission_is_rejected_up_front(self, service):
         with pytest.raises(ServeError, match="ecosystem"):

@@ -3,12 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bench.engine.manifest import MANIFEST_SCHEMA
 from repro.bench.engine.spec import all_specs
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a subprocess, for exit-code checks."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestList:
@@ -76,8 +91,23 @@ class TestEngineFlags:
             (["run", "R1", "--timeout", "0"], "timeout must be > 0"),
             (["run", "R1", "--retries", "-1"], "retries must be >= 0"),
             (["run", "--scale", "100", "--timeout", "0"], "timeout must be > 0"),
+            (
+                ["run", "R1", "--jobs", "2", "--executor", "thread"],
+                "jobs=2 requires executor='process'",
+            ),
+            (
+                ["run", "R1", "--timeout", "5", "--executor", "thread"],
+                "timeout=5.0 requires executor='process'",
+            ),
+            (
+                ["run", "--scale", "100", "--jobs", "2", "--executor", "thread"],
+                "jobs=2 requires executor='process'",
+            ),
         ],
-        ids=["timeout", "retries", "scale-timeout"],
+        ids=[
+            "timeout", "retries", "scale-timeout", "thread-jobs",
+            "thread-timeout", "scale-thread-jobs",
+        ],
     )
     def test_invalid_policy_is_a_clean_error(self, argv, message):
         with pytest.raises(SystemExit, match=f"^run aborted — {message}"):
@@ -87,8 +117,15 @@ class TestEngineFlags:
         with pytest.raises(SystemExit, match="--jobs must be >= 1"):
             main(["run", "R1", "--jobs", "0"])
 
+    def test_thread_executor_with_jobs_exits_1_with_one_line(self):
+        proc = run_cli("run", "R1", "--jobs", "2", "--executor", "thread")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("run aborted — jobs=2 requires")
+        assert proc.stderr.count("\n") == 1
+
     def test_process_executor_matches_thread_output(self, capsys):
-        main(["run", "R1", "R4", "--seed", "2015", "--jobs", "2"])
+        main(["run", "R1", "R4", "--seed", "2015", "--executor", "thread"])
         threaded = capsys.readouterr().out
         main(
             ["run", "R1", "R4", "--seed", "2015", "--jobs", "2",
@@ -240,7 +277,7 @@ class TestParser:
         assert args.trace is None
         assert args.metrics_out is None
         assert args.profile is None
-        assert args.executor == "thread"
+        assert args.executor is None
 
     def test_executor_accepts_thread_and_process_only(self):
         parser = build_parser()
@@ -512,6 +549,16 @@ class TestServe:
             main(["serve", "--state-dir", state, "--quantum", "0"])
         with pytest.raises(SystemExit, match="--result-cache"):
             main(["serve", "--state-dir", state, "--result-cache", "0"])
+
+    def test_thread_executor_with_jobs_fails_at_start_up(self, tmp_path):
+        proc = run_cli(
+            "serve", "--state-dir", str(tmp_path / "state"), "--port", "0",
+            "--executor", "thread", "--jobs", "2",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "", "the service must not bind"
+        assert proc.stderr.startswith("serve aborted — jobs=2 requires")
+        assert proc.stderr.count("\n") == 1
 
     def test_tenant_weight_syntax(self, tmp_path):
         state = str(tmp_path / "state")

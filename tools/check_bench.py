@@ -86,6 +86,9 @@ ECOSYSTEMS_SECTIONS = ("ecosystems", "winners", "taus", "flips")
 
 #: The sharded-campaign manifest schema the CLI currently writes.
 SHARD_MANIFEST_SCHEMA = "repro/shard-run@2"
+#: ``--jobs`` per executor in the smokes: the thread executor runs tasks
+#: inline, one at a time, and rejects ``--jobs`` above 1.
+SMOKE_JOBS = {"thread": "1", "process": "2"}
 
 SERVE_JSON = Path(__file__).resolve().parent.parent / "results" / "BENCH_serve.json"
 SERVE_JSON_SCHEMA = "repro/bench-serve@1"
@@ -381,7 +384,7 @@ def check_shard_scale() -> list[str]:
                 [
                     sys.executable, "-m", "repro", "run",
                     "--scale", "400", "--shard-size", "150",
-                    "--jobs", "2", "--executor", executor,
+                    "--jobs", SMOKE_JOBS[executor], "--executor", executor,
                     "--quiet", "--manifest", str(manifest_path),
                 ],
                 env=env,
@@ -484,7 +487,7 @@ def check_cross_ecosystem() -> list[str]:
                     [
                         sys.executable, "-m", "repro", "run",
                         "--scale", "120", "--shard-size", "60",
-                        "--jobs", "2", "--executor", executor,
+                        "--jobs", SMOKE_JOBS[executor], "--executor", executor,
                         "--ecosystem", ecosystem,
                         "--quiet", "--manifest", str(manifest_path),
                     ],
@@ -620,7 +623,9 @@ def check_chaos_recovery() -> list[str]:
     env["PYTHONPATH"] = str(repo_root / "src")
     problems: list[str] = []
 
-    def run_cli(*extra: str, capture: bool = True) -> subprocess.CompletedProcess:
+    def run_cli(
+        executor: str, *extra: str, capture: bool = True
+    ) -> subprocess.CompletedProcess:
         # capture=False for parent-kill runs: a SIGKILL'd parent can leave
         # orphaned pool workers holding stdout/stderr open, which would
         # wedge a capturing wait until the workers notice and exit.
@@ -633,7 +638,8 @@ def check_chaos_recovery() -> list[str]:
             [
                 sys.executable, "-m", "repro", "run",
                 "--scale", "400", "--shard-size", "100",
-                "--jobs", "2", "--quiet", *extra,
+                "--jobs", SMOKE_JOBS[executor], "--executor", executor,
+                "--quiet", *extra,
             ],
             env=env,
             cwd=repo_root,
@@ -660,7 +666,7 @@ def check_chaos_recovery() -> list[str]:
         reference: dict[str, list] = {}
         for executor in ("thread", "process"):
             clean = tmp_path / f"clean-{executor}.json"
-            proc = run_cli("--executor", executor, "--manifest", str(clean))
+            proc = run_cli(executor, "--manifest", str(clean))
             if proc.returncode != 0:
                 problems.append(
                     f"chaos smoke (clean/{executor}): exited "
@@ -674,7 +680,7 @@ def check_chaos_recovery() -> list[str]:
         # Worker kill: shard 2's first attempt SIGKILLs its worker.
         manifest = tmp_path / "worker-kill.json"
         proc = run_cli(
-            "--executor", "process",
+            "process",
             "--inject-fault", "s2:kill=1",
             "--manifest", str(manifest),
         )
@@ -693,7 +699,7 @@ def check_chaos_recovery() -> list[str]:
         for executor in ("thread", "process"):
             wal = tmp_path / f"parent-{executor}.wal"
             proc = run_cli(
-                "--executor", executor,
+                executor,
                 "--inject-fault", "PARENT:kill=2",
                 "--wal", str(wal),
                 capture=False,
@@ -719,7 +725,7 @@ def check_chaos_recovery() -> list[str]:
 
         # Torn journal: a clean WAL loses its tail; resume must converge.
         wal = tmp_path / "torn.wal"
-        proc = run_cli("--executor", "thread", "--wal", str(wal))
+        proc = run_cli("thread", "--wal", str(wal))
         if proc.returncode != 0:
             problems.append(
                 f"chaos smoke (torn-journal): WAL run exited "
