@@ -15,7 +15,11 @@ from repro.bench.engine.spec import ExperimentSpec, register_spec
 from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
 from repro.metrics.registry import MetricRegistry, core_candidates
 from repro.reporting.tables import format_table
-from repro.stats.bootstrap import SeparationResult, bootstrap_metric, separation_detail
+from repro.stats.bootstrap import (
+    SeparationResult,
+    bootstrap_metric_batch,
+    separation_detail,
+)
 
 __all__ = ["run", "SPEC"]
 
@@ -32,23 +36,25 @@ def run(
     registry = registry if registry is not None else core_candidates()
     campaign = ctx.campaign(n_units=n_units, seed=seed)
 
+    confusions = [result.confusion for result in campaign.results]
     separation: dict[str, float] = {}
     details: dict[str, SeparationResult] = {}
     ci_rows = []
     for metric in registry:
-        summaries = []
         with ctx.span("metric.compute", metric=metric.symbol, experiment="R7"):
-            for result in campaign.results:
-                # Explicit per-(metric, tool) child seeds keep the draws
-                # independent of evaluation order, so thread- and
-                # process-executor runs produce identical summaries.
-                summary = bootstrap_metric(
-                    metric,
-                    result.confusion,
-                    n_resamples=n_resamples,
-                    seed=derive_seed(seed, f"r7:{metric.symbol}:{result.tool_name}"),
-                )
-                summaries.append(summary)
+            # Explicit per-(metric, tool) child seeds keep the draws
+            # independent of evaluation order, so thread- and
+            # process-executor runs produce identical summaries.
+            summaries = bootstrap_metric_batch(
+                metric,
+                confusions,
+                [
+                    derive_seed(seed, f"r7:{metric.symbol}:{result.tool_name}")
+                    for result in campaign.results
+                ],
+                n_resamples=n_resamples,
+            )
+            for result, summary in zip(campaign.results, summaries):
                 ci_rows.append(
                     [
                         metric.symbol,

@@ -22,7 +22,7 @@ from repro.metrics.registry import MetricRegistry, core_candidates
 from repro.reporting.tables import format_table
 from repro.scenarios.adequacy import AdequacyConfig, rank_metrics_for_scenario
 from repro.scenarios.scenarios import Scenario
-from repro.stats.bootstrap import bootstrap_metric
+from repro.stats.bootstrap import bootstrap_metric_batch
 from repro.stats.significance import mcnemar_exact, paired_outcomes
 
 __all__ = ["ToolVerdict", "ScenarioReport", "build_scenario_report"]
@@ -157,14 +157,14 @@ def build_scenario_report(
     scored.sort(key=lambda pair: (-pair[0], pair[1].tool_name))
     leader = scored[0][1]
 
+    summaries = bootstrap_metric_batch(
+        lead_metric,
+        [result.confusion for _, result in scored],
+        [derive_seed(seed, f"report:{result.tool_name}") for _, result in scored],
+        n_resamples=n_resamples,
+    )
     verdicts = []
-    for _, result in scored:
-        summary = bootstrap_metric(
-            lead_metric,
-            result.confusion,
-            n_resamples=n_resamples,
-            seed=derive_seed(seed, f"report:{result.tool_name}"),
-        )
+    for (_, result), summary in zip(scored, summaries):
         try:
             field_matrix = result.confusion.with_prevalence(field_prevalence)
             field_cost = scenario.cost.expected_cost(field_matrix)

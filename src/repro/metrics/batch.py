@@ -8,13 +8,15 @@ ConfusionMatrix` at a time walks a Python loop per resample per metric; a
 float arrays so a metric kernel can evaluate all ``n`` matrices in a handful
 of numpy operations.
 
-Stream compatibility contract: :meth:`ConfusionBatch.resample` draws all
-resamples with a *single* ``rng.multinomial(total, probs, size=n)`` call
-using the same cell order as :meth:`ConfusionMatrix.resample` (``tp, fp, fn,
-tn``).  NumPy's sized multinomial consumes the bit stream exactly like the
-equivalent sequence of single draws, so at the same seed the batch is
-byte-identical to ``n`` scalar ``resample`` calls — vectorization never
-changes a published statistic.
+Stream compatibility contract: :func:`resample_cells` draws all of a
+matrix's resamples with a *single* ``rng.multinomial(total, probs, size=n)``
+call using the same cell order as :meth:`ConfusionMatrix.resample` (``tp,
+fp, fn, tn``).  NumPy's sized multinomial consumes the bit stream exactly
+like the equivalent sequence of single draws, so at the same seed the block
+is byte-identical to ``n`` scalar ``resample`` calls — vectorization never
+changes a published statistic.  :meth:`ConfusionBatch.resample` and the
+batched bootstrap (:func:`repro.stats.bootstrap.bootstrap_metric_batch`,
+which stacks several matrices' blocks into one batch) both draw through it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro._rng import rng_from_seed
 from repro.errors import ConfigurationError
 from repro.metrics.confusion import ConfusionMatrix
 
-__all__ = ["ConfusionBatch", "safe_div_array"]
+__all__ = ["ConfusionBatch", "resample_cells", "safe_div_array"]
 
 
 def safe_div_array(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -44,6 +46,23 @@ def safe_div_array(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray
     out = np.full(np.broadcast(numerator, denominator).shape, np.nan)
     np.divide(numerator, denominator, out=out, where=denominator != 0)
     return out
+
+
+def resample_cells(
+    cm: ConfusionMatrix, n_resamples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``n_resamples`` bootstrap resamples of ``cm`` from ``rng``.
+
+    Returns an ``(n_resamples, 4)`` integer block whose rows are ``tp, fp,
+    fn, tn`` counts, drawn by one sized multinomial (see the module
+    docstring for why that equals ``n_resamples`` scalar resamples).
+    """
+    if n_resamples < 1:
+        raise ConfigurationError(f"n_resamples={n_resamples} must be >= 1")
+    counts = np.array([cm.tp, cm.fp, cm.fn, cm.tn], dtype=float)
+    n = int(round(counts.sum()))
+    probabilities = counts / counts.sum()
+    return rng.multinomial(n, probabilities, size=n_resamples)
 
 
 @dataclass(frozen=True)
@@ -97,6 +116,11 @@ class ConfusionBatch:
         )
 
     @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "ConfusionBatch":
+        """Wrap an ``(n, 4)`` array of ``tp, fp, fn, tn`` rows."""
+        return cls(tp=cells[:, 0], fp=cells[:, 1], fn=cells[:, 2], tn=cells[:, 3])
+
+    @classmethod
     def resample(
         cls,
         cm: ConfusionMatrix,
@@ -110,14 +134,7 @@ class ConfusionBatch:
         module docstring), so downstream statistics are byte-identical to the
         scalar path.
         """
-        if n_resamples < 1:
-            raise ConfigurationError(f"n_resamples={n_resamples} must be >= 1")
-        rng = rng_from_seed(seed)
-        counts = np.array([cm.tp, cm.fp, cm.fn, cm.tn], dtype=float)
-        n = int(round(counts.sum()))
-        probabilities = counts / counts.sum()
-        draws = rng.multinomial(n, probabilities, size=n_resamples).astype(float)
-        return cls(tp=draws[:, 0], fp=draws[:, 1], fn=draws[:, 2], tn=draws[:, 3])
+        return cls.from_cells(resample_cells(cm, n_resamples, rng_from_seed(seed)))
 
     # ------------------------------------------------------------------
     # Row access

@@ -20,7 +20,7 @@ from repro.properties.base import (
     OperatingPoint,
     PropertyAssessment,
 )
-from repro.stats.bootstrap import bootstrap_metric
+from repro.stats.bootstrap import bootstrap_metric_batch
 
 __all__ = [
     "Boundedness",
@@ -338,22 +338,18 @@ class Discriminance(MetricProperty):
             for fpr in (0.05, 0.2)
             for tpr in (0.5, 0.6, 0.7, 0.8)
         ]
+        matrices, seeds = [], []
+        for index, pair in enumerate(pairs):
+            for role, point in zip(("weak", "strong"), pair):
+                matrices.append(
+                    _integerize(point.matrix(prevalence, context.total_sites))
+                )
+                seeds.append(context.stream_seed(f"disc:{index}:{role}"))
+        summaries = bootstrap_metric_batch(
+            metric, matrices, seeds, n_resamples=context.n_resamples
+        )
         strengths = []
-        for index, (weaker, stronger) in enumerate(pairs):
-            cm_weak = _integerize(weaker.matrix(prevalence, context.total_sites))
-            cm_strong = _integerize(stronger.matrix(prevalence, context.total_sites))
-            summary_weak = bootstrap_metric(
-                metric,
-                cm_weak,
-                n_resamples=context.n_resamples,
-                seed=context.stream_seed(f"disc:{index}:weak"),
-            )
-            summary_strong = bootstrap_metric(
-                metric,
-                cm_strong,
-                n_resamples=context.n_resamples,
-                seed=context.stream_seed(f"disc:{index}:strong"),
-            )
+        for summary_weak, summary_strong in zip(summaries[::2], summaries[1::2]):
             noise = math.hypot(summary_weak.std, summary_strong.std)
             if (
                 math.isfinite(summary_weak.mean)
@@ -392,17 +388,16 @@ class Repeatability(MetricProperty):
         """Score ``metric`` on this property (see the class docstring)."""
         scale = _scale_for(metric, context)
         point = OperatingPoint(tpr=0.7, fpr=0.1)
-        normalized_stds = []
+        matrices, seeds = [], []
         for index, prevalence in enumerate((0.05, 0.15, 0.35)):
-            cm = _integerize(point.matrix(prevalence, context.total_sites))
-            summary = bootstrap_metric(
-                metric,
-                cm,
-                n_resamples=context.n_resamples,
-                seed=context.stream_seed(f"repeat:{index}"),
-            )
-            if math.isfinite(summary.std):
-                normalized_stds.append(summary.std / scale)
+            matrices.append(_integerize(point.matrix(prevalence, context.total_sites)))
+            seeds.append(context.stream_seed(f"repeat:{index}"))
+        summaries = bootstrap_metric_batch(
+            metric, matrices, seeds, n_resamples=context.n_resamples
+        )
+        normalized_stds = [
+            summary.std / scale for summary in summaries if math.isfinite(summary.std)
+        ]
         if not normalized_stds:
             return PropertyAssessment(
                 property_name=self.name,

@@ -4,6 +4,7 @@ from repro.stats.bootstrap import (
     BootstrapSummary,
     SeparationResult,
     bootstrap_metric,
+    bootstrap_metric_batch,
     bootstrap_metric_scalar,
     intervals_separated,
     percentile_interval,
@@ -34,6 +35,7 @@ __all__ = [
     "BootstrapSummary",
     "SeparationResult",
     "bootstrap_metric",
+    "bootstrap_metric_batch",
     "bootstrap_metric_scalar",
     "intervals_separated",
     "percentile_interval",

@@ -6,13 +6,20 @@ finite workload, it still *separates* tools whose true quality differs — the
 resampling utilities behind experiment R7 (discriminative power) and the
 repeatability property check in R2.
 
-:func:`bootstrap_metric` draws all resamples with one batched multinomial and
-evaluates the metric through its vectorized kernel
-(:meth:`~repro.metrics.base.Metric.compute_batch`); the retired per-resample
-loop survives as :func:`bootstrap_metric_scalar`, the reference
-implementation the benchmarks and parity tests compare against.  Both paths
-consume the generator's bit stream identically, so they return byte-identical
-summaries for the same seed.
+:func:`bootstrap_metric_batch` bootstraps one metric at several confusion
+matrices (R7's eight tools, R2's operating points) in one batch.  Each
+matrix draws its resamples from its own seed with one sized multinomial
+(:func:`~repro.metrics.batch.resample_cells`); the blocks are stacked into
+one :class:`~repro.metrics.batch.ConfusionBatch`, so the metric's vectorized
+kernel (:meth:`~repro.metrics.base.Metric.compute_batch`) runs once, and the
+matrices whose resamples are all defined are summarised together by
+row-wise ``np.quantile``, ``mean`` and ``std``.  A matrix with an undefined
+resample is summarised on its own.  :func:`bootstrap_metric` is the
+one-matrix call.  The retired per-resample loop survives as
+:func:`bootstrap_metric_scalar`, the reference implementation the benchmarks
+and parity tests compare against.  Every path consumes each seed's bit
+stream identically and reduces each matrix's values in the same order, so
+they return byte-identical summaries for the same seeds.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ import numpy as np
 from repro._rng import rng_from_seed
 from repro.errors import ConfigurationError
 from repro.metrics.base import Metric
-from repro.metrics.batch import ConfusionBatch
+from repro.metrics.batch import ConfusionBatch, resample_cells
 from repro.metrics.confusion import ConfusionMatrix
 
 __all__ = [
     "BootstrapSummary",
     "SeparationResult",
     "bootstrap_metric",
+    "bootstrap_metric_batch",
     "bootstrap_metric_scalar",
     "percentile_interval",
     "intervals_separated",
@@ -133,9 +141,8 @@ def bootstrap_metric(
     resamples are dropped but counted, because frequent undefinedness is
     itself a finding (the R2 "definedness" property).
 
-    All resamples are drawn with a single batched multinomial and evaluated
-    through the metric's vectorized kernel; for the same ``seed`` the result
-    is byte-identical to :func:`bootstrap_metric_scalar`.
+    The one-matrix call of :func:`bootstrap_metric_batch`; for the same
+    ``seed`` the result is byte-identical to :func:`bootstrap_metric_scalar`.
 
     .. warning::
        Passing a ``Generator`` as ``seed`` makes the result depend on how far
@@ -145,12 +152,75 @@ def bootstrap_metric(
        child seed — see :func:`repro._rng.derive_seed` — instead of sharing a
        stateful generator.
     """
+    return bootstrap_metric_batch(metric, [cm], [seed], n_resamples, confidence)[0]
+
+
+def bootstrap_metric_batch(
+    metric: Metric,
+    confusions: Sequence[ConfusionMatrix],
+    seeds: Sequence[int | np.random.Generator],
+    n_resamples: int = 200,
+    confidence: float = 0.95,
+) -> list[BootstrapSummary]:
+    """Bootstrap ``metric`` at every matrix of ``confusions`` in one batch.
+
+    Matrix ``i`` draws its resamples from ``seeds[i]`` exactly as
+    :func:`bootstrap_metric` would, matrices in order, so summary ``i`` is
+    byte-identical to ``bootstrap_metric(metric, confusions[i], n_resamples,
+    confidence, seeds[i])``.  Only the metric kernel and the summaries of
+    fully defined matrices run once over the whole batch.  Arguments are
+    checked before anything is drawn.
+    """
     if n_resamples < 2:
         raise ConfigurationError(f"n_resamples={n_resamples} must be >= 2")
-    rng = rng_from_seed(seed)
-    batch = ConfusionBatch.resample(cm, n_resamples, rng)
-    values = metric.compute_batch(batch)
-    return _summarize(metric, cm, values, n_resamples, confidence)
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence={confidence} must be in (0, 1)")
+    if len(seeds) != len(confusions):
+        raise ConfigurationError(
+            f"got {len(seeds)} seeds for {len(confusions)} matrices; "
+            "need one seed per matrix"
+        )
+    if not confusions:
+        return []
+    cells = np.concatenate(
+        [
+            resample_cells(cm, n_resamples, rng_from_seed(seed))
+            for cm, seed in zip(confusions, seeds)
+        ]
+    )
+    values = metric.compute_batch(ConfusionBatch.from_cells(cells))
+    values = values.reshape(len(confusions), n_resamples)
+    # Each row is C-contiguous, so the row-wise reductions sum in exactly the
+    # order the one-matrix reductions of ``_summarize`` do.
+    complete = np.isfinite(values).all(axis=1)
+    rows = values[complete]
+    alpha = (1.0 - confidence) / 2.0
+    lows, highs = np.quantile(rows, [alpha, 1.0 - alpha], axis=1)
+    columns = zip(
+        lows.tolist(),
+        highs.tolist(),
+        rows.mean(axis=1).tolist(),
+        rows.std(axis=1, ddof=1).tolist(),
+    )
+    summaries = []
+    for cm, row, is_complete in zip(confusions, values, complete.tolist()):
+        if not is_complete:
+            summaries.append(_summarize(metric, cm, row, n_resamples, confidence))
+            continue
+        ci_low, ci_high, mean, std = next(columns)
+        summaries.append(
+            BootstrapSummary(
+                metric_symbol=metric.symbol,
+                point_estimate=metric.value_or_nan(cm),
+                mean=mean,
+                std=std,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                n_resamples=n_resamples,
+                n_defined=n_resamples,
+            )
+        )
+    return summaries
 
 
 def bootstrap_metric_scalar(

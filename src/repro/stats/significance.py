@@ -104,12 +104,17 @@ def mcnemar_exact(outcomes: PairedOutcomes) -> float:
     if n == 0:
         return 1.0
     k = min(outcomes.only_first, outcomes.only_second)
-    # Two-sided exact binomial: 2 * P[X <= k], capped at 1.
-    cumulative = sum(math.comb(n, i) for i in range(k + 1)) * (0.5**n)
-    p_value = 2.0 * cumulative
+    # Two-sided exact binomial: 2 * P[X <= k] = 2 * sum(C(n, i), i <= k) / 2**n,
+    # capped at 1.  The tail stays an exact integer and the one true division
+    # rounds once, so the p-value is correctly rounded however large n grows
+    # (a float tail overflows past 2**1024, and 0.5**n underflows to 0).
+    tail = coefficient = 1
+    for i in range(k):
+        coefficient = coefficient * (n - i) // (i + 1)
+        tail += coefficient
     # The symmetric middle term is counted twice when n is even and the
     # split is exactly even; capping handles it.
-    return min(1.0, p_value)
+    return min(1.0, (2 * tail) / (1 << n))
 
 
 def wilson_interval(

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro._rng import derive_seed
+from repro.bench.engine.context import RunContext
 from repro.bench.experiments import (
     r2_properties,
     r7_discrimination,
@@ -17,6 +19,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.experiments.r2_properties import screened_out
 from repro.metrics.registry import core_candidates, default_registry
+from repro.stats.bootstrap import bootstrap_metric
 
 SEED = 99
 
@@ -81,6 +84,35 @@ class TestR7Discrimination:
         # On an eight-tool suite spanning the operating space, at least one
         # metric must separate most pairs.
         assert max(result.data["separation"].values()) > 0.5
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_batched_summaries_equal_the_per_pair_loop(self, monkeypatch, seed):
+        batched = []
+        batch = r7_discrimination.bootstrap_metric_batch
+
+        def recording(metric, confusions, seeds, **kwargs):
+            summaries = batch(metric, confusions, seeds, **kwargs)
+            batched.append((metric, summaries))
+            return summaries
+
+        monkeypatch.setattr(r7_discrimination, "bootstrap_metric_batch", recording)
+        context = RunContext(seed=seed)
+        r7_discrimination.run(seed=seed, context=context)
+        campaign = context.campaign(n_units=600, seed=seed)
+
+        # One batched call per metric, each covering every tool.
+        assert [metric.symbol for metric, _ in batched] == core_candidates().symbols
+        for metric, summaries in batched:
+            loop = [
+                bootstrap_metric(
+                    metric,
+                    result.confusion,
+                    n_resamples=200,
+                    seed=derive_seed(seed, f"r7:{metric.symbol}:{result.tool_name}"),
+                )
+                for result in campaign.results
+            ]
+            assert list(map(repr, summaries)) == list(map(repr, loop))
 
 
 class TestR8Scenarios:

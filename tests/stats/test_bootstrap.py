@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.metrics import definitions as d
 from repro.metrics.confusion import ConfusionMatrix
+from repro.metrics.registry import default_registry
 from repro.stats.bootstrap import (
     BootstrapSummary,
     bootstrap_metric,
+    bootstrap_metric_batch,
     bootstrap_metric_scalar,
     intervals_separated,
     percentile_interval,
@@ -20,6 +25,15 @@ from repro.stats.bootstrap import (
 )
 
 CM = ConfusionMatrix(tp=60, fp=40, fn=20, tn=380)
+
+# Cells of 0-400 with zeros drawn often, so some matrices leave a metric
+# undefined in some or all of their resamples.
+cells = st.integers(0, 400) | st.just(0)
+matrices = (
+    st.tuples(cells, cells, cells, cells)
+    .filter(lambda counts: sum(counts) > 0)
+    .map(lambda counts: ConfusionMatrix(*map(float, counts)))
+)
 
 
 def make_summary(low: float, high: float) -> BootstrapSummary:
@@ -99,6 +113,41 @@ class TestBootstrapMetric:
         with pytest.raises(ConfigurationError):
             bootstrap_metric_scalar(d.RECALL, CM, n_resamples=1, seed=3)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
+    def test_bad_confidence_raises_even_when_never_defined(self, confidence):
+        # Precision is undefined in every resample of a tool that flags
+        # nothing, so no interval is ever computed; the check still holds.
+        silent = ConfusionMatrix(tp=0, fp=0, fn=5, tn=95)
+        for cm in (silent, CM):
+            with pytest.raises(ConfigurationError, match="confidence"):
+                bootstrap_metric(d.PRECISION, cm, confidence=confidence, seed=3)
+
+
+class TestBootstrapMetricBatch:
+    def test_empty_batch(self):
+        assert bootstrap_metric_batch(d.RECALL, [], []) == []
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_resamples": 1}, "n_resamples"),
+            ({"confidence": 0.0}, "confidence"),
+            ({"confidence": 1.0}, "confidence"),
+            ({"confidence": 1.5}, "confidence"),
+        ],
+    )
+    def test_bad_arguments_raise_before_drawing(self, kwargs, match):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=match):
+            bootstrap_metric_batch(d.RECALL, [CM, CM], [rng, rng], **kwargs)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n_seeds", [0, 1, 3])
+    def test_one_seed_per_matrix(self, n_seeds):
+        with pytest.raises(ConfigurationError, match="one seed per matrix"):
+            bootstrap_metric_batch(d.RECALL, [CM, CM], list(range(n_seeds)))
+
 
 class TestVectorizedMatchesScalar:
     """The batched path must be byte-identical to the reference loop."""
@@ -130,6 +179,54 @@ class TestVectorizedMatchesScalar:
             d.F1, CM, n_resamples=80, seed=np.random.default_rng(11)
         )
         assert fast == slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        metric=st.sampled_from(list(default_registry())),
+        pairs=st.lists(
+            st.tuples(matrices, st.integers(0, 2**63 - 1)), min_size=1, max_size=8
+        ),
+        # Crosses numpy's 128-element pairwise-summation block.
+        n_resamples=st.integers(2, 400),
+    )
+    def test_batch_equals_scalar_oracle_per_matrix(self, metric, pairs, n_resamples):
+        confusions = [cm for cm, _ in pairs]
+        seeds = [seed for _, seed in pairs]
+        batch = bootstrap_metric_batch(metric, confusions, seeds, n_resamples)
+        oracle = [
+            bootstrap_metric_scalar(metric, cm, n_resamples, seed=seed)
+            for cm, seed in pairs
+        ]
+        # repr, so NaN fields compare equal.
+        assert list(map(repr, batch)) == list(map(repr, oracle))
+
+    def test_batch_mixes_defined_and_undefined_matrices(self):
+        confusions = [
+            CM,  # every resample defined
+            ConfusionMatrix(tp=1, fp=0, fn=0, tn=30),  # some undefined
+            ConfusionMatrix(tp=0, fp=5, fn=0, tn=55),  # all undefined
+            ConfusionMatrix(tp=600, fp=400, fn=200, tn=3800),
+        ]
+        seeds = [3, 4, 5, 6]
+        batch = bootstrap_metric_batch(d.RECALL, confusions, seeds, n_resamples=300)
+        assert batch[0].n_defined == batch[3].n_defined == 300
+        assert 0 < batch[1].n_defined < 300
+        assert batch[2].n_defined == 0
+        oracle = [
+            bootstrap_metric_scalar(d.RECALL, cm, n_resamples=300, seed=seed)
+            for cm, seed in zip(confusions, seeds)
+        ]
+        assert list(map(repr, batch)) == list(map(repr, oracle))
+
+    def test_batch_with_one_generator_draws_matrices_in_order(self):
+        confusions = [CM, ConfusionMatrix(tp=9, fp=3, fn=4, tn=84)]
+        shared = np.random.default_rng(11)
+        batch = bootstrap_metric_batch(d.F1, confusions, [shared, shared], 80)
+        replay = np.random.default_rng(11)
+        sequential = [
+            bootstrap_metric(d.F1, cm, n_resamples=80, seed=replay) for cm in confusions
+        ]
+        assert batch == sequential
 
     def test_percentile_interval_accepts_ndarray(self):
         import numpy as np

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.campaign import tool_result
 from repro.errors import ConfigurationError
@@ -69,6 +72,14 @@ class TestPairedOutcomes:
         assert ab.both_correct == ba.both_correct
 
 
+def exact_mcnemar(only_first: int, only_second: int) -> float:
+    """The two-sided exact p-value in rational arithmetic, rounded once."""
+    n = only_first + only_second
+    k = min(only_first, only_second)
+    tail = Fraction(sum(math.comb(n, i) for i in range(k + 1)), 2**n)
+    return float(min(Fraction(1), 2 * tail))
+
+
 class TestMcNemar:
     def test_no_discordance_is_one(self):
         assert mcnemar_exact(outcomes(0, 0)) == 1.0
@@ -96,6 +107,28 @@ class TestMcNemar:
             for b in range(0, 12):
                 p = mcnemar_exact(outcomes(a, b))
                 assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize(
+        "only_first, only_second",
+        [
+            (540, 540),  # tail past 2**1024: a float sum overflows
+            (520, 600),
+            (10, 1100),  # 0.5**1110 underflows; the p-value is subnormal
+        ],
+    )
+    def test_large_discordant_counts(self, only_first, only_second):
+        p_value = mcnemar_exact(outcomes(only_first, only_second))
+        assert p_value == exact_mcnemar(only_first, only_second)
+        assert p_value > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3000), data=st.data())
+    def test_equals_the_rational_oracle(self, n, data):
+        only_first = data.draw(st.integers(0, n))
+        only_second = n - only_first
+        assert mcnemar_exact(outcomes(only_first, only_second)) == exact_mcnemar(
+            only_first, only_second
+        )
 
 
 class TestWilson:

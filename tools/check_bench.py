@@ -11,7 +11,9 @@ still works.  This checker runs three fast probes:
 2. **Resampler stream identity** — the single-call multinomial resampler
    draws the same stream as the per-resample scalar loop at the same seed,
    so ``bootstrap_metric`` and ``bootstrap_metric_scalar`` must return
-   identical summaries.
+   identical summaries; one ``bootstrap_metric_batch`` call over the kernel
+   parity matrices (one seed each) must equal the scalar loop per matrix,
+   for every registered metric.
 2b. **Generation parity** — the columnar workload generator produces
    byte-identical output to the scalar reference on a small corpus, and
    is not slower than it (the 10x claim lives in the full bench; CI only
@@ -96,20 +98,26 @@ SERVE_JSON_SCHEMA = "repro/bench-serve@1"
 SERVE_SECTIONS = ("latency", "fairness")
 
 
-def check_kernel_parity() -> list[str]:
-    """Batch kernels must equal the scalar path, NaN-for-NaN."""
-    import math
-
-    from repro.metrics.batch import ConfusionBatch
+def _parity_matrices() -> list:
+    """The confusion matrices the parity smokes sweep, two degenerate."""
     from repro.metrics.confusion import ConfusionMatrix
-    from repro.metrics.registry import default_registry
 
-    matrices = [
+    return [
         ConfusionMatrix(tp=40, fp=25, fn=20, tn=515),
         ConfusionMatrix(tp=1, fp=0, fn=0, tn=30),
         ConfusionMatrix(tp=0, fp=0, fn=5, tn=5),  # degenerate: no positives found
         ConfusionMatrix(tp=7, fp=3, fn=2, tn=0),
     ]
+
+
+def check_kernel_parity() -> list[str]:
+    """Batch kernels must equal the scalar path, NaN-for-NaN."""
+    import math
+
+    from repro.metrics.batch import ConfusionBatch
+    from repro.metrics.registry import default_registry
+
+    matrices = _parity_matrices()
     batch = ConfusionBatch.from_matrices(matrices)
     problems = []
     for metric in default_registry():
@@ -130,11 +138,15 @@ def check_kernel_parity() -> list[str]:
 
 def check_resampler_identity() -> list[str]:
     """Batch and scalar bootstrap must agree exactly at the same seed."""
-    from repro.metrics.confusion import ConfusionMatrix
     from repro.metrics.registry import default_registry
-    from repro.stats.bootstrap import bootstrap_metric, bootstrap_metric_scalar
+    from repro.stats.bootstrap import (
+        bootstrap_metric,
+        bootstrap_metric_batch,
+        bootstrap_metric_scalar,
+    )
 
-    cm = ConfusionMatrix(tp=40, fp=25, fn=20, tn=515)
+    matrices = _parity_matrices()
+    cm = matrices[0]
     problems = []
     for metric in list(default_registry())[:5]:
         batch = bootstrap_metric(metric, cm, n_resamples=50, seed=2015)
@@ -144,6 +156,16 @@ def check_resampler_identity() -> list[str]:
                 f"resampler identity: {metric.symbol}: "
                 f"{batch!r} != {scalar!r}"
             )
+    seeds = [2015 + index for index in range(len(matrices))]
+    for metric in default_registry():
+        summaries = bootstrap_metric_batch(metric, matrices, seeds, n_resamples=50)
+        for index, (cm, seed, summary) in enumerate(zip(matrices, seeds, summaries)):
+            scalar = bootstrap_metric_scalar(metric, cm, n_resamples=50, seed=seed)
+            if repr(summary) != repr(scalar):
+                problems.append(
+                    f"resampler identity: {metric.symbol} batched at matrix "
+                    f"{index}: {summary!r} != {scalar!r}"
+                )
     return problems
 
 
