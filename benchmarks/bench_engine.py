@@ -9,8 +9,8 @@ byte-identical to the serial one (the engine's core determinism contract).
 A second bench measures the observability layer itself: interleaved
 sharded-campaign runs with the tracer enabled vs disabled.  The
 instrumentation must stay cheap enough to leave on — <5% wall-time
-overhead, *enforced* (the ring-lane tracer is what makes the target
-holdable without slack).
+overhead, *enforced* (a span costs a few microseconds to close and
+nothing to read back, so the target holds without slack).
 
 Three perf benches cover the parallel rails: bootstrap throughput compares
 the scalar reference loop (``bootstrap_metric_scalar``) against the batch
@@ -265,8 +265,8 @@ TRACING_SCALE = 4_000
 TRACING_SHARD_SIZE = 500
 
 #: The enforced tracing-overhead ceiling.  This is the design target
-#: itself, not a slacked stand-in: with the ring-lane tracer a traced
-#: campaign must stay within 5% of an untraced one.
+#: itself, not a slacked stand-in: a traced campaign must stay within 5%
+#: of an untraced one.
 TRACING_OVERHEAD_GUARD = 0.05
 
 

@@ -20,7 +20,7 @@ pieces:
   a write-ahead journal and graceful drain;
 - :mod:`~repro.bench.engine.runner` — the one supervised task loop both of
   those drive: inline or process-pool execution, retries, keep-going,
-  worker-crash supervision and the heartbeat watchdog;
+  worker-crash supervision and the per-attempt ``timeout`` deadline;
 - :mod:`~repro.bench.engine.faults` — a deterministic fault-injection
   harness (fail-on-attempt-K, hang-for-N-seconds, kill-the-worker,
   corrupt-artifact-bytes) the test suite uses to exercise every failure

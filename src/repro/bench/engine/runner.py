@@ -8,7 +8,7 @@ supplies only what differs per kind: the task body and its process-side
 call, the success and failure records, the counter prefix and the fault
 ids.  The loop itself — retries, keep-going with cascade skips,
 drain-and-raise, worker-crash supervision (pool rebuild, solo re-probes,
-quarantine), the heartbeat watchdog behind ``timeout``, and graceful
+quarantine), the per-attempt deadline behind ``timeout``, and graceful
 drain — lives here, once.
 
 There are two executors, and :func:`check_policy` derives which one a
@@ -31,7 +31,7 @@ from typing import Any
 from repro.bench.engine.artifacts import ArtifactStore
 from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
-from repro.bench.engine.supervise import HeartbeatBoard, ShutdownSignal
+from repro.bench.engine.supervise import ShutdownSignal
 from repro.bench.engine.transport import cached_process_pool, evict_process_pool
 from repro.errors import (
     ConfigurationError,
@@ -113,9 +113,8 @@ def check_policy(
 #: Worker-process state shared by every task kind: one persistent store
 #: per ``(seed, cache_dir)`` — a worker is reused across tasks and, since
 #: pools are cached, across whole runs, so a later task finds what an
-#: earlier one computed — and the heartbeat board this worker attached.
+#: earlier one computed.
 _WORKER_STORES: dict[tuple[int, str | None], ArtifactStore] = {}
-_WORKER_BOARD: HeartbeatBoard | None = None
 
 #: Bound on each per-worker cache; runs cycle through few distinct keys,
 #: so a tiny FIFO keeps reuse while bounding a long session.
@@ -151,19 +150,15 @@ def in_worker(
     seed: int,
     cache_dir: str | None,
     trace: bool,
-    beat_slot: tuple[str, int, int] | None,
     *args: Any,
 ) -> WorkerOutcome:
-    """Process-side call of every task: ``body(store, beat, *args)``.
+    """Process-side call of every task: ``body(store, *args)``.
 
     ``store`` is this worker's persistent store for ``(seed, cache_dir)``,
     rebound to a fresh observability bundle so the returned dump and spans
     hold only this task's work and the parent merges them without double
-    counting.  ``beat`` stamps the task's heartbeat slot when the parent's
-    watchdog is armed (``beat_slot`` is the board's segment name, its slot
-    count and the task's slot); otherwise it is ``None``.
+    counting.
     """
-    global _WORKER_BOARD
     store = worker_cached(
         _WORKER_STORES,
         (seed, cache_dir),
@@ -171,16 +166,7 @@ def in_worker(
     )
     obs = Observability(tracer=Tracer(enabled=trace))
     store.obs = obs
-    beat = None
-    if beat_slot is not None:
-        name, n_slots, slot = beat_slot
-        if _WORKER_BOARD is not None and _WORKER_BOARD.name != name:
-            _WORKER_BOARD.close()
-            _WORKER_BOARD = None
-        if _WORKER_BOARD is None:
-            _WORKER_BOARD = HeartbeatBoard.attach(name, n_slots)
-        beat = _WORKER_BOARD.beater(slot)
-    value = body(store, beat, *args)
+    value = body(store, *args)
     return WorkerOutcome(
         value=value,
         metrics_dump=obs.metrics.to_dict(),
@@ -212,10 +198,8 @@ class _InFlight:
 
     key: Hashable
     attempt: int
-    hb_slot: int | None
-    """Heartbeat-board slot, when the watchdog is armed."""
     submitted_ns: int
-    """Submission stamp — the hung-check anchor until the first beat."""
+    """Submission stamp, from which the attempt's deadline counts."""
 
 
 class TaskRun:
@@ -226,7 +210,8 @@ class TaskRun:
     :attr:`queue` in order once their in-set dependencies completed; up to
     :attr:`window` are in flight; each finished attempt is accepted,
     retried, recorded as failed (cascade-skipping its dependents), or
-    raised; a broken process pool is supervised and a silent task reaped.
+    raised; a broken process pool is supervised and an attempt that runs
+    past ``timeout`` reaped.
     """
 
     #: How messages name a task: ``f"{noun} {key}"``.
@@ -235,7 +220,7 @@ class TaskRun:
     prefix = "engine.tasks"
     #: Histogram observing each completed task's wall seconds.
     seconds_histogram = "engine.task.seconds"
-    #: Without the watchdog, up to ``jobs × window_per_job`` tasks are in
+    #: Without a timeout, up to ``jobs × window_per_job`` tasks are in
     #: flight (see :attr:`window`).
     window_per_job = 1
 
@@ -283,7 +268,6 @@ class TaskRun:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.trace = self.obs.tracer.enabled
         self.pool: Any = None
-        self.board: HeartbeatBoard | None = None
 
     # -- what a task kind supplies -------------------------------------------
     def fault_ids(self, key: Hashable) -> tuple[str, ...]:
@@ -306,7 +290,7 @@ class TaskRun:
         """Run one attempt inline on the calling thread: by default the
         process-side body, against the run's own store."""
         body, *args = self.worker_call(key, attempt, fault)
-        return body(self.store, None, *args)
+        return body(self.store, *args)
 
     def worker_call(
         self, key: Hashable, attempt: int, fault: FaultSpec | None
@@ -337,11 +321,12 @@ class TaskRun:
     def window(self) -> int:
         """How many tasks may be in flight right now.
 
-        Inline runs keep one.  With the watchdog armed the window is the
-        worker count (shrunk by wedged workers, which are replaced once
-        all are wedged), so a queued task's wait never reads as heartbeat
-        silence; without it, ``jobs × window_per_job`` keeps workers fed
-        while the parent folds.
+        Inline runs keep one.  Under a timeout the window is the worker
+        count, shrunk by wedged workers (which are replaced once all are
+        wedged): every submitted task then starts at once on an idle
+        worker, which is what lets the deadline count from submission.
+        Without one, ``jobs × window_per_job`` keeps workers fed while
+        the parent folds.
         """
         if self.executor == "thread":
             return 1
@@ -364,23 +349,19 @@ class TaskRun:
         return self.records
 
     def setup(self) -> None:
-        """Start the executor and, under the watchdog, the heartbeat board."""
+        """Start the executor."""
         if self.executor == "thread":
             self.pool = _Inline()
             return
         self.pool = cached_process_pool(self.pool_key, max_workers=self.jobs)
-        if self.timeout is not None:
-            self.board = HeartbeatBoard.create(self.window)
 
     def teardown(self) -> None:
-        """Retire a process pool left mid-task; close the heartbeat board."""
+        """Retire a process pool left mid-task."""
         if self.executor == "process" and (self.active or self.abandoned):
             # Aborting with tasks still in flight (or wedged workers): a
             # cached pool would hand the next run a worker mid-task, so
             # retire this one.
             evict_process_pool(self.pool_key)
-        if self.board is not None:
-            self.board.close()
 
     # -- submission ----------------------------------------------------------
     def _submit_ready(self) -> None:
@@ -390,7 +371,7 @@ class TaskRun:
         if wedged and (self.queue or self.probe_queue):
             # Every worker is wedged in an abandoned task, so a task
             # queued behind them would be reaped unstarted: retire them
-            # and start fresh workers (and slots) instead.
+            # and start fresh workers instead.
             self.teardown()
             self.abandoned = 0
             self.setup()
@@ -419,20 +400,14 @@ class TaskRun:
 
     def _submit(self, key: Hashable, attempt: int) -> None:
         fault = self.fault_for(key)
-        hb_slot = self.board.acquire() if self.board is not None else None
         if self.executor == "thread":
             future = self.pool.submit(self.run_local, key, attempt, fault)
         else:
-            beat_slot = (
-                (self.board.name, self.board.n_slots, hb_slot)
-                if hb_slot is not None
-                else None
-            )
             body, *args = self.worker_call(key, attempt, fault)
             try:
                 future = self.pool.submit(
                     in_worker, body, self.seed, self.cache_dir, self.trace,
-                    beat_slot, *args,
+                    *args,
                 )
             except (BrokenExecutor, RuntimeError) as error:
                 # submit itself found a dead (or already shut down) pool:
@@ -445,10 +420,7 @@ class TaskRun:
                     else BrokenExecutor(str(error))
                 )
         self.active[future] = _InFlight(
-            key=key,
-            attempt=attempt,
-            hb_slot=hb_slot,
-            submitted_ns=time.monotonic_ns(),
+            key=key, attempt=attempt, submitted_ns=time.monotonic_ns()
         )
 
     # -- the main loop -------------------------------------------------------
@@ -470,8 +442,6 @@ class TaskRun:
 
     def _handle_done(self, future: Future) -> None:
         flight = self.active.pop(future)
-        if self.board is not None and flight.hb_slot is not None:
-            self.board.release(flight.hb_slot)
         error = future.exception()
         if error is None:
             self._succeed(flight, future.result())
@@ -577,18 +547,14 @@ class TaskRun:
         for future in list(self.active):
             if not future.done():
                 # Should not happen after the pool shut down; abandon the
-                # flight (leaking its heartbeat slot) rather than block on
-                # it.
+                # flight rather than block on it.
                 flight = self.active.pop(future)
                 self.abandoned += 1
                 crashed.append(flight)
                 continue
             error = future.exception()
             if isinstance(error, BrokenExecutor):
-                flight = self.active.pop(future)
-                if self.board is not None and flight.hb_slot is not None:
-                    self.board.release(flight.hb_slot)  # its writer is dead
-                crashed.append(flight)
+                crashed.append(self.active.pop(future))
             else:
                 ordinary.append(future)
         # Accept completed siblings first: their results (and journal
@@ -667,33 +633,24 @@ class TaskRun:
             )
         self.obs.metrics.inc("engine.pool.rebuilds")
 
-    # -- the watchdog --------------------------------------------------------
+    # -- the deadline --------------------------------------------------------
     def _reap_hung(self) -> None:
-        """Time out tasks whose heartbeat went silent past the budget."""
+        """Time out attempts still running ``timeout`` seconds after their
+        submission (see :attr:`window` for why submission is the start)."""
         budget_ns = int(self.timeout * 1e9)
         now = time.monotonic_ns()
         for future, flight in list(self.active.items()):
-            anchor = flight.submitted_ns
-            if self.board is not None and flight.hb_slot is not None:
-                anchor = max(anchor, self.board.last_beat(flight.hb_slot))
-            if now - anchor <= budget_ns:
+            if now - flight.submitted_ns <= budget_ns:
                 continue
             del self.active[future]
-            if future.cancel():
-                # Never started: its heartbeat slot is untouched and
-                # reusable.
-                if self.board is not None and flight.hb_slot is not None:
-                    self.board.release(flight.hb_slot)
-            else:
-                # Running and silent: abandon it.  Its heartbeat slot leaks
-                # for the run's lifetime — the hung worker may still beat
-                # it — and teardown retires the pool.
+            if not future.cancel():
+                # Running past its budget: abandon it; teardown retires
+                # the pool, terminating the worker.
                 self.abandoned += 1
             self.obs.metrics.inc(f"{self.prefix}.timeout")
             error = ExperimentTimeoutError(
-                f"{self.noun} {flight.key} went {self.timeout}s without a "
-                f"heartbeat on attempt {flight.attempt} (hung, not slow: "
-                f"live workers beat at attempt start and phase boundaries)",
+                f"{self.noun} {flight.key} ran past its {self.timeout}s "
+                f"budget on attempt {flight.attempt}",
                 experiment_id=self.fault_ids(flight.key)[0],
                 timeout=self.timeout,
             )

@@ -24,10 +24,10 @@ experiment no longer aborts the suite by default semantics alone —
   :class:`~repro.bench.engine.manifest.FailureRecord` in the manifest,
   cascade-**skips** its in-set dependents (with a recorded reason), and
   lets every independent experiment run to completion;
-- ``timeout=SECONDS`` arms the heartbeat watchdog: an experiment beats
-  once at attempt start, so an attempt still running ``timeout`` seconds
-  later is recorded with status ``timeout`` and abandoned, and the run
-  retires its worker pool, terminating the hung worker;
+- ``timeout=SECONDS`` gives each attempt a deadline: an attempt still
+  running ``timeout`` seconds after its submission is recorded with
+  status ``timeout`` and abandoned, and the run retires its worker pool,
+  terminating the hung worker;
 - on the process executor a dead worker is supervised: the pool is
   rebuilt and the crashed experiments re-dispatched one at a time, and
   an experiment that keeps killing its workers is recorded ``failed``
@@ -56,7 +56,7 @@ summary lands in the manifest's ``extra["observability"]``.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -126,7 +126,6 @@ def topological_order(ids: Sequence[str]) -> list[ExperimentSpec]:
 
 def _execute(
     store: ArtifactStore,
-    beat: Callable[[], None] | None,
     seed: int,
     experiment_id: str,
     attempt: int = 1,
@@ -141,7 +140,6 @@ def _execute(
     registry.  Lifecycle counters are the *runner's* job — a record
     returned here only counts once the runner accepts it, so an abandoned
     (timed-out) attempt that eventually finishes cannot skew the totals.
-    ``beat`` (when the watchdog is armed) is called once at attempt start.
     """
     spec = get_spec(experiment_id)
     context = RunContext(seed=seed, store=store)
@@ -157,8 +155,6 @@ def _execute(
         else nullcontext()
     )
     started = time.perf_counter()
-    if beat is not None:
-        beat()
     with retry_span:
         with obs.tracer.span(
             f"experiment.{spec.experiment_id}",

@@ -54,9 +54,9 @@ use), so engine semantics carry over wholesale:
   ``resume_journal`` — replay the journal, re-run only missing shards,
   bit-identical totals.  A :class:`~repro.bench.engine.supervise.
   ShutdownSignal` drains in-flight shards on SIGTERM/SIGINT and still
-  writes the partial manifest, and ``timeout`` arms a heartbeat watchdog
-  (:class:`~repro.bench.engine.supervise.HeartbeatBoard`) that times out
-  *hung* workers (silent heartbeat) rather than slow ones.
+  writes the partial manifest, and ``timeout`` gives each shard attempt
+  a deadline, counted from its submission, past which the shard is
+  recorded ``timeout`` and its worker terminated.
 
 Totals are exact for any executor, fold order, retry count, crash
 history, or resume history — see :mod:`repro.bench.streaming` for the
@@ -69,7 +69,6 @@ from __future__ import annotations
 import os
 import signal as signal_module
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -78,7 +77,6 @@ from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
 from repro.bench.engine.runner import TaskRun, check_policy, worker_cached
 from repro.bench.engine.supervise import ShutdownSignal
-from repro.bench.engine.transport import reclaim_leaked_segments
 from repro.bench.engine.wal import JournalHeader, ShardJournal
 from repro.bench.result import DEFAULT_SEED
 from repro.bench.streaming import (
@@ -112,8 +110,8 @@ _ACCEPTED_SCHEMAS = ("repro/shard-run@1", SHARD_MANIFEST_SCHEMA)
 
 #: Valid values of :attr:`ShardRunRecord.status` (shards have no
 #: dependencies, so there is no ``skipped``).  ``quarantined`` marks a
-#: shard that kept killing its workers; ``timeout`` a shard whose worker
-#: went silent past the heartbeat budget.
+#: shard that kept killing its workers; ``timeout`` a shard whose attempt
+#: ran past its deadline.
 SHARD_STATUSES = ("completed", "failed", "quarantined", "timeout")
 
 
@@ -411,7 +409,6 @@ def _evaluate_one(
     tools: list,
     families: tuple[str, ...],
     fault: FaultSpec | None,
-    beat: Callable[[], None] | None = None,
 ) -> _ShardOutcome:
     """Run one attempt of one shard against ``store``; return its outcome.
 
@@ -421,15 +418,11 @@ def _evaluate_one(
     artifact key, so a warm store (or a populated ``cache_dir``) satisfies
     the shard without generating it; the fault hook fires *before* the
     cache lookup, so injected failures exercise the retry path even on
-    warm runs.  ``beat`` (when a heartbeat watchdog is armed) is called
-    at phase boundaries — task start, generate→evaluate, completion — so
-    a hung shard goes silent while a slow one keeps beating.
+    warm runs.
     """
     obs = store.obs
     spec = plan.spec(index)
     started = time.perf_counter()
-    if beat is not None:
-        beat()
     if fault is not None:
         fault.apply(attempt)
 
@@ -440,8 +433,6 @@ def _evaluate_one(
             columns = plan.columns(index)
         obs.metrics.inc("engine.shards.units", columns.n_units)
         obs.metrics.inc("engine.shards.sites", columns.n_sites)
-        if beat is not None:
-            beat()
         with obs.tracer.span(
             "shard.evaluate", shard=index, tools=len(tools)
         ):
@@ -453,8 +444,6 @@ def _evaluate_one(
         codec=_shard_cells_codec(),
         requester=f"shard:{index}",
     )
-    if beat is not None:
-        beat()
     return _ShardOutcome(
         index=index,
         n_units=spec.n_units,
@@ -491,7 +480,6 @@ _WORKER_SUITES: dict[tuple[str, int, tuple[str, ...]], list] = {}
 
 def _evaluate_in_worker(
     store: ArtifactStore,
-    beat: Callable[[], None] | None,
     ctx: _WorkerContext,
     index: int,
     attempt: int,
@@ -516,7 +504,7 @@ def _evaluate_in_worker(
         ),
     )
     return _evaluate_one(
-        plan, index, attempt, store, tools, ctx.families, fault, beat
+        plan, index, attempt, store, tools, ctx.families, fault
     )
 
 
@@ -640,9 +628,9 @@ def run_sharded_campaign(
     cooperative drain request (the CLI arms it on SIGTERM/SIGINT): when
     requested, nothing new is submitted, in-flight shards finish, and the
     partial manifest is still returned (``extra["interrupted"]`` lists
-    the unfinished shards).  ``timeout`` arms a heartbeat watchdog that
-    times out shards whose worker goes *silent* for that many seconds —
-    hung, not merely slow.
+    the unfinished shards).  ``timeout`` gives each shard attempt that
+    many seconds from its submission; one still running then is recorded
+    ``timeout`` and its worker terminated.
     """
     executor = check_policy(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
@@ -713,9 +701,6 @@ def run_sharded_campaign(
     parent_fault = (
         faults.for_experiment(PARENT_FAULT_ID) if faults is not None else None
     )
-    reclaimed = reclaim_leaked_segments()
-    if reclaimed:
-        obs.metrics.inc("engine.shm.reclaimed", reclaimed)
 
     accumulator = CampaignAccumulator(
         [

@@ -1,122 +1,38 @@
-"""Process-pool reuse and shared-memory segment naming.
+"""Process-pool reuse across runs.
 
 Process workers send every result home — shard cells included — inside
 the pickled :class:`~repro.bench.engine.runner.WorkerOutcome` their task
-returns.  What this module keeps is the state that outlives one task:
-
-- a **process-pool cache** — pools persist across runs keyed by campaign
-  identity, so worker warm-up (interpreter fork, artifact-store
-  construction, tool-suite build) and the per-worker stores, plans and
-  tool suites it produces amortize over a whole session instead of one
-  call.  Pools are evicted (and shut down) on LRU overflow, on a
-  :class:`BrokenExecutor`, when a run leaves a task in flight (which
-  also terminates their workers), or at interpreter exit.  Workers never
-  outlive their pool's creator: each one exits as soon as it is
-  reparented (the creator died, even by SIGKILL), and SIGTERM kills it
-  even when it forked while the CLI's drain handlers were installed;
-- **named segments** — every shared-memory segment the engine creates
-  (the watchdog's :class:`~repro.bench.engine.supervise.HeartbeatBoard`)
-  carries its creator's pid in its name, so a later campaign can reclaim
-  what a SIGKILL'd one leaked.
+returns.  What this module keeps is the state that outlives one task: a
+**process-pool cache**.  Pools persist across runs keyed by campaign
+identity, so worker warm-up (interpreter fork, artifact-store
+construction, tool-suite build) and the per-worker stores, plans and
+tool suites it produces amortize over a whole session instead of one
+call.  Pools are evicted (and shut down) on LRU overflow, on a
+:class:`BrokenExecutor`, when a run leaves a task in flight (which also
+terminates their workers), or at interpreter exit.  Workers never
+outlive their pool's creator: each one exits as soon as it is
+reparented (the creator died, even by SIGKILL), and SIGTERM kills it
+even when it forked while the CLI's drain handlers were installed.
 """
 
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
-from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "SHM_PREFIX",
-    "create_segment",
-    "reclaim_leaked_segments",
     "cached_process_pool",
     "evict_process_pool",
     "shutdown_cached_pools",
 ]
 
-# ---------------------------------------------------------------------------
-# Named segments and crash-leak reclamation
-# ---------------------------------------------------------------------------
-#: Every shared-memory segment this package creates is named
-#: ``<SHM_PREFIX>-<creator pid>-<sequence>``, so a later campaign can tell
-#: *its own* package's leaked segments (creator pid no longer alive) apart
-#: from every other process's shm — the sweep never touches foreign names.
-SHM_PREFIX = "repro-shm"
-
-_segment_seq = itertools.count()
-
-
-def create_segment(size: int) -> shared_memory.SharedMemory:
-    """Create a shared-memory segment under this package's pid-tagged name.
-
-    The embedded creator pid is what makes leaked segments *identifiable*
-    after a SIGKILL: the default anonymous ``psm_…`` names carry no
-    ownership, so nothing could ever safely clean them up.
-    """
-    while True:
-        name = f"{SHM_PREFIX}-{os.getpid()}-{next(_segment_seq)}"
-        try:
-            return shared_memory.SharedMemory(create=True, name=name, size=size)
-        except FileExistsError:
-            continue  # stale leak at this exact name; advance the sequence
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # alive, just not ours
-    return True
-
-
-def reclaim_leaked_segments() -> int:
-    """Unlink shm segments leaked by dead campaign processes; return count.
-
-    A SIGKILL'd parent never runs :meth:`HeartbeatBoard.close
-    <repro.bench.engine.supervise.HeartbeatBoard.close>`, so its segments
-    outlive it in ``/dev/shm`` until reboot.  Campaign start calls this:
-    any ``repro-shm-<pid>-*`` entry whose creator pid is gone is ours to
-    reclaim (unlinked directly — the dead owner's resource tracker is gone
-    with it).  No-op on platforms without a ``/dev/shm``.
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return 0
-    reclaimed = 0
-    for entry in shm_dir.glob(f"{SHM_PREFIX}-*-*"):
-        parts = entry.name.rsplit("-", 2)
-        if len(parts) != 3 or parts[0] != SHM_PREFIX:
-            continue
-        try:
-            pid = int(parts[1])
-        except ValueError:
-            continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        try:
-            entry.unlink()
-        except OSError:
-            continue
-        reclaimed += 1
-    return reclaimed
-
-
-# ---------------------------------------------------------------------------
-# Cached process pools
-# ---------------------------------------------------------------------------
 #: How many distinct cached pools stay warm at once.  Each pool holds
 #: ``max_workers`` live interpreters, so the cap is deliberately tiny —
 #: enough for a campaign plus a follow-up at different parameters.
@@ -172,15 +88,6 @@ def cached_process_pool(
     """
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-    if sys.platform != "win32":
-        # Start the resource tracker *before* the pool forks: workers then
-        # inherit it, so their shared-memory attach registrations land in
-        # the parent tracker's (idempotent) name set instead of spawning
-        # per-worker trackers that would try to clean up the parent's
-        # segments at worker exit.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
     with _pool_lock:
         pool = _pools.pop(key, None)
         if pool is not None and pool._max_workers < max_workers:

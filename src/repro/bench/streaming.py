@@ -172,7 +172,7 @@ class ShardCells:
 
 
 #: What :func:`evaluate_shard` records spans on when no tracer is given.
-_UNTRACED = Tracer(enabled=False, ring_capacity=0)
+_UNTRACED = Tracer(enabled=False)
 
 
 def evaluate_shard(

@@ -44,11 +44,12 @@ schema tag/magic, so the same flag resumes every kind of run.
 Crash safety: ``--wal FILE`` journals every folded shard durably, so even
 a ``kill -9`` of the campaign parent resumes bit-identically from the
 journal; SIGTERM/SIGINT drain in-flight shards and still write the
-partial ``--manifest``; ``--timeout`` on ``--scale`` runs arms a
-heartbeat watchdog that times out hung (silent) workers without
-penalizing slow ones; and dead workers are supervised — the pool is
-rebuilt and crashed shards re-dispatched, quarantining any shard that
-keeps killing workers (see ``docs/benchmarking.md``, "Crash recovery").
+partial ``--manifest``; ``--timeout`` on ``--scale`` runs gives each
+shard attempt a deadline, counted from its submission, and terminates
+the worker of an attempt that runs past it; and dead workers are
+supervised — the pool is rebuilt and crashed shards re-dispatched,
+quarantining any shard that keeps killing workers (see
+``docs/benchmarking.md``, "Crash recovery").
 
 Ecosystems: ``--ecosystem NAME`` selects which registered
 :class:`~repro.workload.ecosystems.EcosystemProfile` shapes the corpus and

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiling import HotspotRow, Profiler, ProfileReport
 from repro.obs.tracer import (
-    DEFAULT_RING_CAPACITY,
     TRACE_SCHEMA,
     SpanRecord,
     Tracer,
@@ -52,7 +51,6 @@ __all__ = [
     "SpanRecord",
     "spans_from_chrome_trace",
     "TRACE_SCHEMA",
-    "DEFAULT_RING_CAPACITY",
     "MetricsRegistry",
     "Counter",
     "Gauge",

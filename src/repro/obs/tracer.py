@@ -2,27 +2,22 @@
 
 A :class:`Tracer` records *spans* — named intervals with wall time, thread
 id and parent attribution — as the engine works.  Spans nest per thread
-(the parent is whatever span is open on the same thread), so a parallel
-run under :class:`~concurrent.futures.ThreadPoolExecutor` yields one clean
-span tree per worker instead of interleaved garbage.  The recorded timeline
-exports as `Chrome trace format`_ JSON, loadable by ``chrome://tracing``
-and `Perfetto <https://ui.perfetto.dev>`_, and aggregates into a per-name
-summary small enough to embed in a run manifest.
+(the parent is whatever span is open on the same thread), so spans closed
+on several threads still form one clean tree per thread.  The recorded
+timeline exports as `Chrome trace format`_ JSON, loadable by
+``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_, and
+aggregates into a per-name summary small enough to embed in a run
+manifest.
 
 Tracing is opt-in: a tracer constructed with ``enabled=False`` turns
 ``span()`` into a shared no-op context manager, so the instrumentation
 threaded through the engine costs nearly nothing when nobody asked for a
 timeline.
 
-Hot-path design (the *ring lane*): closing a span appends one preallocated
-ring-buffer slot — an interned name id, two ``perf_counter_ns`` readings,
-and the raw args mapping — under a single short lock hold.  No
-:class:`SpanRecord` is built, nothing is sorted, and no value is coerced
-until the ring *drains* into the nested record lane (on wraparound, on any
-read, or at export), so a span costs a small constant on the recording
-side and the expensive bookkeeping runs once per drained batch.  See
-``docs/observability.md`` for when spans sit in the ring versus the nested
-lane.
+Closing a span builds its :class:`SpanRecord` (args coerced to JSON-safe
+values and sorted) and appends it to one list under a short lock hold, so
+reads copy that list and nothing is deferred to them.  See
+``docs/observability.md`` ("The fast path") for what a span costs.
 
 .. _Chrome trace format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -43,16 +38,10 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "TRACE_SCHEMA",
-    "DEFAULT_RING_CAPACITY",
     "spans_from_chrome_trace",
 ]
 
 TRACE_SCHEMA = "repro/trace@1"
-
-#: Ring-lane slots preallocated per tracer.  Sized so steady-state span
-#: traffic (a few thousand spans per experiment) drains in large batches;
-#: memory cost is one tuple reference per slot.
-DEFAULT_RING_CAPACITY = 4096
 
 
 def _json_safe(value: Any) -> Any:
@@ -105,8 +94,8 @@ _NOOP_SPAN = _NoopSpan()
 class _Span:
     """One live span: the context manager :meth:`Tracer.span` returns.
 
-    A plain ``__slots__`` class instead of ``@contextmanager`` — the
-    generator machinery alone costs more than the whole ring-lane write.
+    A plain ``__slots__`` class instead of ``@contextmanager``, which
+    would add a generator to every span.
     """
 
     __slots__ = ("_tracer", "_name", "_args", "_span_id", "_parent_id", "_start_ns")
@@ -134,67 +123,39 @@ class _Span:
         end_ns = time.perf_counter_ns()
         tracer = self._tracer
         tracer._local.stack.pop()
-        name = self._name
-        name_id = tracer._name_ids.get(name)
-        if name_id is None:
-            name_id = tracer._intern(name)
-        entry = (
-            name_id,
-            self._start_ns,
-            end_ns - self._start_ns,
-            threading.get_ident(),
-            self._span_id,
-            self._parent_id,
-            self._args or None,
+        args = self._args
+        record = SpanRecord(
+            name=self._name,
+            start=(self._start_ns - tracer._epoch_ns) * 1e-9,
+            duration=(end_ns - self._start_ns) * 1e-9,
+            thread_id=threading.get_ident(),
+            span_id=self._span_id,
+            parent_id=self._parent_id,
+            args=(
+                tuple(sorted((k, _json_safe(v)) for k, v in args.items()))
+                if args
+                else ()
+            ),
         )
         with tracer._lock:
-            seq = tracer._seq
-            tracer._seq = seq + 1
-            ring = tracer._ring
-            if ring:
-                slot = seq % len(ring)
-                if ring[slot] is not None:
-                    tracer._drain_locked()
-                ring[slot] = (seq, entry)
-                tracer._ring_live += 1
-            else:
-                tracer._records.append((seq, tracer._entry_record(entry)))
+            tracer._records.append(record)
         return False
 
 
 class Tracer:
-    """Thread-safe span recorder with Chrome-trace-format export.
+    """Thread-safe span recorder with Chrome-trace-format export."""
 
-    ``ring_capacity`` sizes the hot-path ring lane; ``0`` disables it, so
-    every span builds its :class:`SpanRecord` eagerly on close (the
-    reference slow path the fast-path tests compare against).
-    """
-
-    def __init__(
-        self, enabled: bool = True, ring_capacity: int = DEFAULT_RING_CAPACITY
-    ) -> None:
-        if ring_capacity < 0:
-            raise ConfigurationError(
-                f"ring_capacity must be >= 0, got {ring_capacity}"
-            )
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._local = threading.local()
         self._epoch_ns = time.perf_counter_ns()
-        self._epoch = self._epoch_ns * 1e-9
         self.epoch_unix = time.time()
         """Wall-clock time of the tracer's epoch; lets two tracers' span
         timelines be aligned (see :meth:`ingest`)."""
         self._ids = itertools.count()
-        self._seq = 0
-        self._names: list[str] = []
-        self._name_ids: dict[str, int] = {}
-        #: Ring lane: preallocated ``(seq, entry)`` slots, drained to
-        #: ``_records`` on wraparound or on any read.
-        self._ring: list[tuple[int, tuple] | None] = [None] * ring_capacity
-        self._ring_live = 0
-        #: Nested record lane: ``(seq, SpanRecord)`` in close order.
-        self._records: list[tuple[int, SpanRecord]] = []
+        self._records: list[SpanRecord] = []
+        """Closed spans, in close order."""
 
     # -- recording ----------------------------------------------------------
     def span(self, name: str, **args: Any):
@@ -207,49 +168,6 @@ class Tracer:
         if not self.enabled:
             return _NOOP_SPAN
         return _Span(self, name, args)
-
-    def _intern(self, name: str) -> int:
-        """Assign (or look up) the ring-lane id of a span name."""
-        with self._lock:
-            name_id = self._name_ids.get(name)
-            if name_id is None:
-                name_id = len(self._names)
-                self._names.append(name)
-                self._name_ids[name] = name_id
-            return name_id
-
-    def _entry_record(self, entry: tuple) -> SpanRecord:
-        """Build the full :class:`SpanRecord` a ring entry deferred."""
-        name_id, start_ns, dur_ns, thread_id, span_id, parent_id, args = entry
-        return SpanRecord(
-            name=self._names[name_id],
-            start=(start_ns - self._epoch_ns) * 1e-9,
-            duration=dur_ns * 1e-9,
-            thread_id=thread_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            args=(
-                tuple(sorted((k, _json_safe(v)) for k, v in args.items()))
-                if args
-                else ()
-            ),
-        )
-
-    def _drain_locked(self) -> None:
-        """Move every live ring entry into the record lane (lock held).
-
-        Entries drain in close (``seq``) order, and every live entry's seq
-        exceeds every already-drained record's, so ``_records`` stays
-        sorted by construction.
-        """
-        if not self._ring_live:
-            return
-        live = sorted(slot for slot in self._ring if slot is not None)
-        for seq, entry in live:
-            self._records.append((seq, self._entry_record(entry)))
-        for slot in range(len(self._ring)):
-            self._ring[slot] = None
-        self._ring_live = 0
 
     def ingest(
         self, records: Iterable[SpanRecord], offset_seconds: float = 0.0
@@ -267,37 +185,30 @@ class Tracer:
             return
         batch = list(records)
         with self._lock:
-            self._drain_locked()
             mapping = {record.span_id: next(self._ids) for record in batch}
-            for record in batch:
-                seq = self._seq
-                self._seq = seq + 1
-                self._records.append(
-                    (
-                        seq,
-                        SpanRecord(
-                            name=record.name,
-                            start=record.start + offset_seconds,
-                            duration=record.duration,
-                            thread_id=record.thread_id,
-                            span_id=mapping[record.span_id],
-                            parent_id=mapping.get(record.parent_id),
-                            args=record.args,
-                        ),
-                    )
+            self._records.extend(
+                SpanRecord(
+                    name=record.name,
+                    start=record.start + offset_seconds,
+                    duration=record.duration,
+                    thread_id=record.thread_id,
+                    span_id=mapping[record.span_id],
+                    parent_id=mapping.get(record.parent_id),
+                    args=record.args,
                 )
+                for record in batch
+            )
 
     # -- reading back -------------------------------------------------------
     @property
     def spans(self) -> list[SpanRecord]:
         """Every closed span so far, in close order."""
         with self._lock:
-            self._drain_locked()
-            return [record for _, record in self._records]
+            return list(self._records)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records) + self._ring_live
+            return len(self._records)
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-name totals: ``{name: {"count": n, "seconds": total}}``.

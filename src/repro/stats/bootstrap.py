@@ -92,6 +92,14 @@ def percentile_interval(
     return float(low), float(high)
 
 
+def _check_arguments(n_resamples: int, confidence: float) -> None:
+    """Reject a bootstrap request before anything is drawn."""
+    if n_resamples < 2:
+        raise ConfigurationError(f"n_resamples={n_resamples} must be >= 2")
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence={confidence} must be in (0, 1)")
+
+
 def _summarize(
     metric: Metric,
     cm: ConfusionMatrix,
@@ -171,10 +179,7 @@ def bootstrap_metric_batch(
     fully defined matrices run once over the whole batch.  Arguments are
     checked before anything is drawn.
     """
-    if n_resamples < 2:
-        raise ConfigurationError(f"n_resamples={n_resamples} must be >= 2")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence={confidence} must be in (0, 1)")
+    _check_arguments(n_resamples, confidence)
     if len(seeds) != len(confusions):
         raise ConfigurationError(
             f"got {len(seeds)} seeds for {len(confusions)} matrices; "
@@ -237,8 +242,7 @@ def bootstrap_metric_scalar(
     *tested* claim — see the parity tests and ``benchmarks/bench_engine.py``,
     which also uses this loop as the speedup baseline.
     """
-    if n_resamples < 2:
-        raise ConfigurationError(f"n_resamples={n_resamples} must be >= 2")
+    _check_arguments(n_resamples, confidence)
     rng = rng_from_seed(seed)
     values = np.array(
         [metric.value_or_nan(cm.resample(rng)) for _ in range(n_resamples)],

@@ -375,6 +375,18 @@ class TestTimeout:
         run = run_experiments(["R1"], seed=2015, jobs=2, timeout=120.0)
         assert run.ok
 
+    def test_slow_experiment_inside_its_budget_completes(self):
+        run = run_experiments(
+            ["R1"],
+            seed=2015,
+            jobs=2,
+            timeout=2.0,
+            faults=FaultPlan((FaultSpec("R1", hang_seconds=0.3),)),
+        )
+        assert run.ok
+        record = run.manifest.record_for("R1")
+        assert (record.status, record.attempts) == ("completed", 1)
+
     # Only processes take a timeout: a hung inline task cannot be stopped.
     @pytest.mark.parametrize("executor", ["process"])
     def test_wedged_worker_does_not_strand_the_queue(self, executor):

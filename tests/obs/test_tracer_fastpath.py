@@ -1,10 +1,11 @@
-"""Tests for the tracer's ring lane: wraparound, laziness, equivalence.
+"""Tests for the tracer's record lane: order, timestamps, args, threads.
 
-The ring lane defers all expensive span bookkeeping (record construction,
-timestamp arithmetic, args coercion, ordering) from span close to drain
-time.  These tests pin the contract that makes the deferral safe: nothing
-the slow eager lane (``ring_capacity=0``) records is lost or reordered by
-the ring, at any capacity, including across wraparound.
+Closing a span builds its :class:`~repro.obs.SpanRecord` and appends it
+to one list under the tracer's lock.  These tests pin what a trace
+reader relies on: spans come back in close order however reads
+interleave with recording, starts are relative to the tracer's epoch,
+args are JSON-safe and sorted, nesting is per thread, ingested batches
+land after the spans already closed, and concurrent closes lose nothing.
 """
 
 from __future__ import annotations
@@ -12,18 +13,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.obs import DEFAULT_RING_CAPACITY, Tracer
+from repro.obs import Tracer
 
 
 def run_workload(tracer: Tracer, rounds: int = 10) -> None:
-    """A deterministic nested-span workload both lanes can replay."""
+    """A deterministic nested-span workload."""
     for index in range(rounds):
         with tracer.span("outer", round=index):
-            # A non-JSON-safe arg with a deterministic str(): coercion to
-            # string must happen at drain, identically in both lanes.
+            # A non-JSON-safe arg with a deterministic str().
             with tracer.span("inner", round=index, detail=[index, "x"]):
                 pass
             with tracer.span("leaf"):
@@ -31,52 +28,31 @@ def run_workload(tracer: Tracer, rounds: int = 10) -> None:
 
 
 class TestRingWraparound:
-    def test_no_span_lost_past_capacity(self):
-        tracer = Tracer(ring_capacity=4)
-        for index in range(25):
-            with tracer.span("work", index=index):
-                pass
-        spans = tracer.spans
-        assert len(spans) == 25
-        assert [dict(r.args)["index"] for r in spans] == list(range(25))
-
     def test_len_counts_ring_and_drained_records(self):
-        tracer = Tracer(ring_capacity=8)
+        tracer = Tracer()
         for _ in range(5):
             with tracer.span("work"):
                 pass
-        # Five spans sit in the ring, none drained yet — len sees them all.
         assert len(tracer) == 5
-        assert len(tracer.spans) == 5  # the read drains
-        assert len(tracer) == 5
+        assert len(tracer.spans) == 5
+        assert len(tracer) == 5  # reading consumes nothing
 
     def test_close_order_survives_interleaved_drains(self):
-        tracer = Tracer(ring_capacity=3)
+        tracer = Tracer()
         for index in range(4):
             with tracer.span("a", index=index):
                 pass
-        assert len(tracer.spans) == 4  # force a mid-sequence drain
+        assert len(tracer.spans) == 4  # a read between closes
         for index in range(4, 9):
             with tracer.span("a", index=index):
                 pass
         indices = [dict(r.args)["index"] for r in tracer.spans]
         assert indices == list(range(9))
 
-    def test_capacity_one_degenerates_gracefully(self):
-        tracer = Tracer(ring_capacity=1)
-        run_workload(tracer, rounds=3)
-        assert len(tracer.spans) == 9
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ConfigurationError, match="ring_capacity"):
-            Tracer(ring_capacity=-1)
-
 
 class TestLazyConversion:
     def test_starts_monotonic_across_wraparound(self):
-        # Timestamps stay raw perf_counter_ns until drain; conversion must
-        # not disturb the close-order timeline even when the ring wrapped.
-        tracer = Tracer(ring_capacity=4)
+        tracer = Tracer()
         for _ in range(20):
             with tracer.span("tick"):
                 pass
@@ -85,18 +61,20 @@ class TestLazyConversion:
         assert all(start >= 0 for start in starts)
 
     def test_args_coerced_at_drain_not_close(self):
-        tracer = Tracer(ring_capacity=16)
+        # Coerced and sorted when the span closes: the record is final.
+        tracer = Tracer()
         with tracer.span("x", weird=object(), b=2, a="one"):
             pass
         (record,) = tracer.spans
         keys = [k for k, _ in record.args]
         assert keys == sorted(keys)
-        json.dumps(dict(record.args))  # coerced JSON-safe at drain
+        json.dumps(dict(record.args))
 
     def test_nesting_resolved_in_ring_lane(self):
-        tracer = Tracer(ring_capacity=4)
-        run_workload(tracer, rounds=4)  # 12 spans through a 4-slot ring
+        tracer = Tracer()
+        run_workload(tracer, rounds=4)
         by_id = {record.span_id: record for record in tracer.spans}
+        assert len(by_id) == 12
         for record in by_id.values():
             if record.name == "outer":
                 assert record.parent_id is None
@@ -107,59 +85,18 @@ class TestLazyConversion:
         remote = Tracer()
         with remote.span("remote.work"):
             pass
-        local = Tracer(ring_capacity=4)
+        local = Tracer()
         with local.span("local.work"):
             pass
         local.ingest(remote.spans)
         names = [record.name for record in local.spans]
-        # The ring-lane span drained ahead of the ingested batch.
+        # The span closed locally stays ahead of the ingested batch.
         assert names == ["local.work", "remote.work"]
-
-
-class TestLaneEquivalence:
-    def export_shapes(self, tracer: Tracer) -> list[tuple]:
-        """The structure of an export, minus the timing values."""
-        payload = tracer.to_chrome_trace()
-        spans = {r.span_id: r for r in tracer.spans}
-        shapes = []
-        for event in payload["traceEvents"]:
-            parent_id = event["args"].get("parent_id")
-            parent = spans[parent_id].name if parent_id is not None else None
-            args = {
-                k: v
-                for k, v in event["args"].items()
-                if k not in ("span_id", "parent_id")
-            }
-            shapes.append((event["name"], parent, tuple(sorted(args.items()))))
-        return shapes
-
-    def test_ring_matches_eager_lane(self):
-        ring = Tracer(ring_capacity=DEFAULT_RING_CAPACITY)
-        eager = Tracer(ring_capacity=0)
-        run_workload(ring)
-        run_workload(eager)
-        assert self.export_shapes(ring) == self.export_shapes(eager)
-
-    def test_ring_matches_eager_lane_across_wraparound(self):
-        ring = Tracer(ring_capacity=2)  # every round wraps several times
-        eager = Tracer(ring_capacity=0)
-        run_workload(ring)
-        run_workload(eager)
-        assert self.export_shapes(ring) == self.export_shapes(eager)
-
-    def test_summary_identical_counts(self):
-        ring = Tracer(ring_capacity=8)
-        eager = Tracer(ring_capacity=0)
-        run_workload(ring)
-        run_workload(eager)
-        assert {
-            name: entry["count"] for name, entry in ring.summary().items()
-        } == {name: entry["count"] for name, entry in eager.summary().items()}
 
 
 class TestRingThreading:
     def test_concurrent_closes_never_drop_spans(self):
-        tracer = Tracer(ring_capacity=8)  # far smaller than the span count
+        tracer = Tracer()
 
         def work(worker: int) -> None:
             for index in range(50):

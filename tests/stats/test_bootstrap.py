@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,14 +114,23 @@ class TestBootstrapMetric:
         with pytest.raises(ConfigurationError):
             bootstrap_metric_scalar(d.RECALL, CM, n_resamples=1, seed=3)
 
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
-    def test_bad_confidence_raises_even_when_never_defined(self, confidence):
+    @pytest.mark.parametrize(
+        "bootstrap",
+        [bootstrap_metric, bootstrap_metric_scalar],
+        ids=["batched", "scalar"],
+    )
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, -0.1, 1.5])
+    def test_bad_confidence_raises_even_when_never_defined(
+        self, confidence, bootstrap
+    ):
         # Precision is undefined in every resample of a tool that flags
-        # nothing, so no interval is ever computed; the check still holds.
+        # nothing, so no interval is ever computed; the check still holds,
+        # with the same message on the batched path and the scalar oracle.
         silent = ConfusionMatrix(tp=0, fp=0, fn=5, tn=95)
+        message = re.escape(f"confidence={confidence} must be in (0, 1)")
         for cm in (silent, CM):
-            with pytest.raises(ConfigurationError, match="confidence"):
-                bootstrap_metric(d.PRECISION, cm, confidence=confidence, seed=3)
+            with pytest.raises(ConfigurationError, match=message):
+                bootstrap(d.PRECISION, cm, confidence=confidence, seed=3)
 
 
 class TestBootstrapMetricBatch:

@@ -43,10 +43,11 @@ still works.  This checker runs three fast probes:
    present, carries the expected schema tag, a full winner grid, and at
    least one recorded winner flip.
 8. **Chaos-recovery smoke** — a SIGKILL'd worker recovers in-run (pool
-   rebuild + re-dispatch), and a SIGKILL'd campaign *parent* recovers via
-   ``--resume`` of its write-ahead journal — on both executors, with a
-   torn journal tail tolerated — and every recovered run's per-shard
-   cells equal the uninterrupted run's byte-for-byte.
+   rebuild + re-dispatch), a hung shard is timed out under ``--timeout``
+   and finished by ``--resume``, and a SIGKILL'd campaign *parent*
+   recovers via ``--resume`` of its write-ahead journal — on both
+   executors, with a torn journal tail tolerated — and every recovered
+   run's per-shard cells equal the uninterrupted run's byte-for-byte.
 9. **Serve dump schema** — ``results/BENCH_serve.json``, when present,
    carries the ``repro/bench-serve@1`` tag, the latency rows and the
    fairness section ``docs/serve.md`` cites, sane percentiles
@@ -67,6 +68,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "results" / "BENCH_engine.json"
@@ -625,14 +627,19 @@ def _shard_cells(manifest_path: Path) -> list:
 
 
 def check_chaos_recovery() -> list[str]:
-    """Crash chaos matrix: killed workers and killed parents must recover.
+    """Crash chaos matrix: killed workers, hung shards and killed parents
+    must recover.
 
-    One clean reference run per executor, then three chaos scenarios whose
+    One clean reference run per executor, then four chaos scenarios whose
     recovered per-shard cells must equal the clean run's byte-for-byte:
 
     - **worker-kill** (process only): ``--inject-fault s2:kill=1`` SIGKILLs
       the worker executing shard 2 once; supervision rebuilds the pool and
       re-dispatches, so the run still exits 0 with every shard completed.
+    - **hung** (process only): ``--inject-fault s1:hang=30`` under
+      ``--timeout 2 --keep-going`` exits 1 well before the hang ends, with
+      shard 1 recorded ``timeout``; a ``--resume`` of its journal runs
+      shard 1 and completes the campaign.
     - **parent-kill** (both executors): ``--inject-fault PARENT:kill=2``
       SIGKILLs the campaign parent after 2 journaled folds; a
       ``--resume`` of the write-ahead journal completes the campaign.
@@ -716,6 +723,50 @@ def check_chaos_recovery() -> list[str]:
                 "chaos smoke (worker-kill): recovered cells differ from "
                 "the clean run"
             )
+
+        # Hung shard: timed out and its worker terminated, then resumed.
+        wal = tmp_path / "hung.wal"
+        manifest = tmp_path / "hung.json"
+        started = time.monotonic()
+        proc = run_cli(
+            "process",
+            "--timeout", "2", "--keep-going",
+            "--inject-fault", "s1:hang=30",
+            "--wal", str(wal), "--manifest", str(manifest),
+        )
+        elapsed = time.monotonic() - started
+        statuses = (
+            {
+                r["index"]: r["status"]
+                for r in json.loads(manifest.read_text())["shards"]
+            }
+            if manifest.exists()
+            else {}
+        )
+        if proc.returncode != 1 or elapsed >= 30:
+            problems.append(
+                f"chaos smoke (hung): exited {proc.returncode} after "
+                f"{elapsed:.1f}s (want 1, before the 30s hang ends): "
+                f"{proc.stderr[-500:]}"
+            )
+        elif statuses.get(1) != "timeout":
+            problems.append(
+                f"chaos smoke (hung): shard statuses {statuses}; shard 1 "
+                "must be recorded as timeout"
+            )
+        else:
+            resumed_manifest = tmp_path / "hung-resumed.json"
+            resumed = resume_cli(wal, resumed_manifest)
+            if resumed.returncode != 0:
+                problems.append(
+                    f"chaos smoke (hung): resume exited "
+                    f"{resumed.returncode}: {resumed.stderr[-500:]}"
+                )
+            elif _shard_cells(resumed_manifest) != reference["process"]:
+                problems.append(
+                    "chaos smoke (hung): resumed cells differ from the "
+                    "clean run"
+                )
 
         # Parent kill + journal resume, on both executors.
         for executor in ("thread", "process"):
@@ -935,7 +986,7 @@ def main() -> int:
         "evaluation parity, dump schemas, fault-injection smoke, "
         "shard-scale smoke (executor parity), cross-ecosystem smoke, "
         "chaos-recovery "
-        "smoke (worker-kill / parent-kill / torn-journal), and serve "
+        "smoke (worker-kill / hung / parent-kill / torn-journal), and serve "
         "smoke (HTTP campaign parity) checked"
     )
     return 0
