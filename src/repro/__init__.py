@@ -26,153 +26,58 @@ Quickstart::
     campaign = run_campaign(reference_suite(seed=7), workload)
     for metric in default_registry():
         print(metric.symbol, campaign.metric_values(metric))
+
+Each name is imported on first use (:mod:`repro._lazy`), so ``import repro``
+itself loads no submodule.
 """
 
-from repro.bench.campaign import CampaignResult, ToolResult, run_campaign, score_report
-from repro.bench.report import ScenarioReport, ToolVerdict, build_scenario_report
-from repro.errors import (
-    ConfigurationError,
-    ElicitationError,
-    InconsistentJudgmentError,
-    McdaError,
-    MetricError,
-    ReproError,
-    ToolError,
-    UndefinedMetricError,
-    WorkloadError,
-)
-from repro.experts import (
-    Expert,
-    ExpertPanel,
-    default_panel,
-    elicit_hierarchy,
-    validate_scenario,
-)
-from repro.mcda import (
-    AhpHierarchy,
-    AhpResult,
-    PairwiseComparisonMatrix,
-    comparison_from_scores,
-    simple_additive_weighting,
-    topsis,
-    weight_sensitivity,
-)
-from repro.metrics import (
-    ConfusionMatrix,
-    Metric,
-    MetricFamily,
-    MetricRegistry,
-    Orientation,
-    core_candidates,
-    default_registry,
-    definitions,
-)
-from repro.properties import (
-    AssessmentContext,
-    PropertiesMatrix,
-    build_properties_matrix,
-    default_properties,
-)
-from repro.scenarios import (
-    AdequacyConfig,
-    CostStructure,
-    Scenario,
-    canonical_scenarios,
-    rank_metrics_for_scenario,
-    scenario_adequacy,
-    scenario_by_key,
-)
-from repro.tools import (
-    DynamicInjector,
-    PatternScanner,
-    SimulatedTool,
-    TaintAnalyzer,
-    ToolProfile,
-    VulnerabilityDetectionTool,
-    reference_suite,
-)
-from repro.workload import (
-    CodeUnit,
-    GroundTruth,
-    SinkSite,
-    VulnerabilityType,
-    Workload,
-    WorkloadConfig,
-    generate_workload,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # campaign
-    "CampaignResult",
-    "ToolResult",
-    "run_campaign",
-    "score_report",
-    "ScenarioReport",
-    "ToolVerdict",
-    "build_scenario_report",
-    # errors
-    "ConfigurationError",
-    "ElicitationError",
-    "InconsistentJudgmentError",
-    "McdaError",
-    "MetricError",
-    "ReproError",
-    "ToolError",
-    "UndefinedMetricError",
-    "WorkloadError",
-    # experts
-    "Expert",
-    "ExpertPanel",
-    "default_panel",
-    "elicit_hierarchy",
-    "validate_scenario",
-    # mcda
-    "AhpHierarchy",
-    "AhpResult",
-    "PairwiseComparisonMatrix",
-    "comparison_from_scores",
-    "simple_additive_weighting",
-    "topsis",
-    "weight_sensitivity",
-    # metrics
-    "ConfusionMatrix",
-    "Metric",
-    "MetricFamily",
-    "MetricRegistry",
-    "Orientation",
-    "core_candidates",
-    "default_registry",
-    "definitions",
-    # properties
-    "AssessmentContext",
-    "PropertiesMatrix",
-    "build_properties_matrix",
-    "default_properties",
-    # scenarios
-    "AdequacyConfig",
-    "CostStructure",
-    "Scenario",
-    "canonical_scenarios",
-    "rank_metrics_for_scenario",
-    "scenario_adequacy",
-    "scenario_by_key",
-    # tools
-    "DynamicInjector",
-    "PatternScanner",
-    "SimulatedTool",
-    "TaintAnalyzer",
-    "ToolProfile",
-    "VulnerabilityDetectionTool",
-    "reference_suite",
-    # workload
-    "CodeUnit",
-    "GroundTruth",
-    "SinkSite",
-    "VulnerabilityType",
-    "Workload",
-    "WorkloadConfig",
-    "generate_workload",
-]
+_exports, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.campaign": (
+            "CampaignResult", "ToolResult", "run_campaign", "score_report",
+        ),
+        "repro.bench.report": (
+            "ScenarioReport", "ToolVerdict", "build_scenario_report",
+        ),
+        "repro.errors": (
+            "ConfigurationError", "ElicitationError", "InconsistentJudgmentError",
+            "McdaError", "MetricError", "ReproError", "ToolError",
+            "UndefinedMetricError", "WorkloadError",
+        ),
+        "repro.experts": (
+            "Expert", "ExpertPanel", "default_panel", "elicit_hierarchy",
+            "validate_scenario",
+        ),
+        "repro.mcda": (
+            "AhpHierarchy", "AhpResult", "PairwiseComparisonMatrix",
+            "comparison_from_scores", "simple_additive_weighting", "topsis",
+            "weight_sensitivity",
+        ),
+        "repro.metrics": (
+            "ConfusionMatrix", "Metric", "MetricFamily", "MetricRegistry",
+            "Orientation", "core_candidates", "default_registry", "definitions",
+        ),
+        "repro.properties": (
+            "AssessmentContext", "PropertiesMatrix", "build_properties_matrix",
+            "default_properties",
+        ),
+        "repro.scenarios": (
+            "AdequacyConfig", "CostStructure", "Scenario", "canonical_scenarios",
+            "rank_metrics_for_scenario", "scenario_adequacy", "scenario_by_key",
+        ),
+        "repro.tools": (
+            "DynamicInjector", "PatternScanner", "SimulatedTool", "TaintAnalyzer",
+            "ToolProfile", "VulnerabilityDetectionTool", "reference_suite",
+        ),
+        "repro.workload": (
+            "CodeUnit", "GroundTruth", "SinkSite", "VulnerabilityType", "Workload",
+            "WorkloadConfig", "generate_workload",
+        ),
+    },
+)
+__all__ = ["__version__", *_exports]

@@ -1,75 +1,31 @@
 """Benchmark harness: campaign runner, experiment engine and drivers."""
 
-from repro.bench.engine import (
-    ArtifactStore,
-    EngineRun,
-    ExperimentSpec,
-    RunContext,
-    RunManifest,
-    run_experiments,
-)
-from repro.bench.result import DEFAULT_SEED, ExperimentResult
+from repro._lazy import lazy_exports
 
-from repro.bench.repeatability import RunNoiseSummary, tool_run_noise
-from repro.bench.suite import SuiteResult, ranking_stability, run_suite
-from repro.bench.weighted import DEFAULT_SEVERITIES, score_report_weighted
-from repro.bench.report import (
-    ScenarioReport,
-    ToolVerdict,
-    build_scenario_report,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.repeatability": ("RunNoiseSummary", "tool_run_noise"),
+        "repro.bench.weighted": ("DEFAULT_SEVERITIES", "score_report_weighted"),
+        "repro.bench.suite": ("SuiteResult", "ranking_stability", "run_suite"),
+        "repro.bench.report": (
+            "ScenarioReport", "ToolVerdict", "build_scenario_report",
+        ),
+        "repro.bench.pertype": (
+            "PerTypeBreakdown", "breakdown_report", "campaign_breakdowns",
+            "macro_average", "micro_average",
+        ),
+        "repro.bench.campaign": (
+            "CampaignResult", "ToolResult", "run_campaign", "score_report",
+        ),
+        "repro.bench.streaming": (
+            "CampaignAccumulator", "ShardCells", "StreamingCampaignResult",
+            "evaluate_shard", "materialized_totals",
+        ),
+        "repro.bench.engine": (
+            "ArtifactStore", "EngineRun", "ExperimentSpec", "RunContext",
+            "RunManifest", "run_experiments",
+        ),
+        "repro.bench.result": ("DEFAULT_SEED", "ExperimentResult"),
+    },
 )
-from repro.bench.pertype import (
-    PerTypeBreakdown,
-    breakdown_report,
-    campaign_breakdowns,
-    macro_average,
-    micro_average,
-)
-from repro.bench.campaign import (
-    CampaignResult,
-    ToolResult,
-    run_campaign,
-    score_report,
-)
-from repro.bench.streaming import (
-    CampaignAccumulator,
-    ShardCells,
-    StreamingCampaignResult,
-    evaluate_shard,
-    materialized_totals,
-)
-
-__all__ = [
-    "RunNoiseSummary",
-    "tool_run_noise",
-    "DEFAULT_SEVERITIES",
-    "score_report_weighted",
-    "SuiteResult",
-    "ranking_stability",
-    "run_suite",
-    "ScenarioReport",
-    "ToolVerdict",
-    "build_scenario_report",
-    "PerTypeBreakdown",
-    "breakdown_report",
-    "campaign_breakdowns",
-    "macro_average",
-    "micro_average",
-    "CampaignResult",
-    "ToolResult",
-    "run_campaign",
-    "score_report",
-    "CampaignAccumulator",
-    "ShardCells",
-    "StreamingCampaignResult",
-    "evaluate_shard",
-    "materialized_totals",
-    "ArtifactStore",
-    "EngineRun",
-    "ExperimentSpec",
-    "RunContext",
-    "RunManifest",
-    "run_experiments",
-    "DEFAULT_SEED",
-    "ExperimentResult",
-]

@@ -32,82 +32,35 @@ computed once per store (once in a serial run, once per worker in a
 process run).
 """
 
-from repro.bench.engine.artifacts import (
-    ArtifactCodec,
-    ArtifactEvent,
-    ArtifactKey,
-    ArtifactStore,
-)
-from repro.bench.engine.context import RunContext, UncacheableParameter, ensure_context
-from repro.bench.engine.faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    corrupt_file,
-    parse_fault,
-)
-from repro.bench.engine.manifest import (
-    MANIFEST_SCHEMA,
-    STATUSES,
-    ExperimentRunRecord,
-    FailureRecord,
-    RunManifest,
-)
-from repro.bench.engine.shards import (
-    SHARD_MANIFEST_SCHEMA,
-    SHARD_STATUSES,
-    ShardedCampaignRun,
-    ShardRunManifest,
-    ShardRunRecord,
-    run_sharded_campaign,
-    shard_fault_id,
-)
-from repro.bench.engine.scheduler import (
-    EXECUTORS,
-    EngineRun,
-    run_experiments,
-    topological_order,
-)
-from repro.bench.engine.spec import (
-    ExperimentSpec,
-    all_specs,
-    experiment_ids,
-    get_spec,
-    register_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCodec",
-    "ArtifactEvent",
-    "ArtifactKey",
-    "ArtifactStore",
-    "RunContext",
-    "UncacheableParameter",
-    "ensure_context",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "corrupt_file",
-    "parse_fault",
-    "MANIFEST_SCHEMA",
-    "STATUSES",
-    "ExperimentRunRecord",
-    "FailureRecord",
-    "RunManifest",
-    "EngineRun",
-    "EXECUTORS",
-    "SHARD_MANIFEST_SCHEMA",
-    "SHARD_STATUSES",
-    "ShardedCampaignRun",
-    "ShardRunManifest",
-    "ShardRunRecord",
-    "run_sharded_campaign",
-    "shard_fault_id",
-    "run_experiments",
-    "topological_order",
-    "ExperimentSpec",
-    "all_specs",
-    "experiment_ids",
-    "get_spec",
-    "register_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.engine.artifacts": (
+            "ArtifactCodec", "ArtifactEvent", "ArtifactKey", "ArtifactStore",
+        ),
+        "repro.bench.engine.context": (
+            "RunContext", "UncacheableParameter", "ensure_context",
+        ),
+        "repro.bench.engine.faults": (
+            "FaultPlan", "FaultSpec", "InjectedFault", "corrupt_file", "parse_fault",
+        ),
+        "repro.bench.engine.manifest": (
+            "MANIFEST_SCHEMA", "STATUSES", "ExperimentRunRecord", "FailureRecord",
+            "RunManifest",
+        ),
+        "repro.bench.engine.scheduler": (
+            "EngineRun", "EXECUTORS", "run_experiments", "topological_order",
+        ),
+        "repro.bench.engine.shards": (
+            "SHARD_MANIFEST_SCHEMA", "SHARD_STATUSES", "ShardedCampaignRun",
+            "ShardRunManifest", "ShardRunRecord", "run_sharded_campaign",
+            "shard_fault_id",
+        ),
+        "repro.bench.engine.spec": (
+            "ExperimentSpec", "all_specs", "experiment_ids", "get_spec",
+            "register_spec",
+        ),
+    },
+)

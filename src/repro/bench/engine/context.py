@@ -50,13 +50,13 @@ class UncacheableParameter(Exception):
 
 def _canonical(value: Any) -> Any:
     """Reduce a parameter to a stable, hashable cache-key component."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     from repro.experts.panel import ExpertPanel
     from repro.metrics.base import Metric
     from repro.metrics.registry import MetricRegistry
     from repro.scenarios.scenarios import Scenario
 
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     if isinstance(value, Metric):
         return ("metric", value.symbol)
     if isinstance(value, MetricRegistry):

@@ -623,6 +623,9 @@ class TaskRun:
                 f"(at most {MAX_POOL_REBUILDS} rebuilds per run)"
             )
         self.rebuilds += 1
+        # Evicting the broken pool terminated every worker, wedged ones
+        # included: the fresh pool starts with its full window.
+        self.abandoned = 0
         backoff = min(2.0, 0.05 * 2 ** (self.rebuilds - 1))
         with self.obs.tracer.span(
             "engine.pool_rebuild", rebuild=self.rebuilds, backoff=backoff

@@ -100,7 +100,7 @@ def topological_order(ids: Sequence[str]) -> list[ExperimentSpec]:
 
     Edges to experiments outside the requested set are ignored — the
     artifact store satisfies those on demand.  Ties break on canonical
-    experiment order, so for the full suite this degenerates to R1..R19.
+    experiment order, so for the full suite this degenerates to R1..R20.
     """
     specs = {spec.experiment_id: spec for spec in (get_spec(i) for i in ids)}
     remaining_deps = {
@@ -115,7 +115,7 @@ def topological_order(ids: Sequence[str]) -> list[ExperimentSpec]:
                 f"dependency cycle among experiments: {sorted(remaining_deps)}"
             )
         # Pop one node at a time, lowest index first, so the serial order for
-        # the full suite is exactly R1..R19 (not dependency-layer order).
+        # the full suite is exactly R1..R20 (not dependency-layer order).
         key = min(ready, key=lambda key: specs[key].index)
         ordered.append(specs[key])
         del remaining_deps[key]

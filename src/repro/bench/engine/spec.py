@@ -6,11 +6,14 @@ a seed, which upstream experiments it consumes, and the driver callable.
 Experiment modules register their spec at import time, so the CLI, the
 scheduler and the docs all read from one source and cannot drift apart the
 way the old hand-maintained ``_SEEDLESS`` set and titles dict in ``cli.py``
-could.
+could.  The registry imports an experiment's module the first time its id
+is looked up (:data:`repro.bench.experiments.MODULES` says which), so a run
+loads only the experiments it runs.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,7 +35,7 @@ class ExperimentSpec:
     """Declarative metadata for one reproduction experiment."""
 
     experiment_id: str
-    """Canonical id (``R1`` .. ``R19``)."""
+    """Canonical id (``R1`` .. ``R20``)."""
     title: str
     """Short title as printed by ``repro list``."""
     artifact: str
@@ -85,31 +88,37 @@ def register_spec(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def _ensure_loaded() -> None:
-    # Importing the experiments package registers every spec as a side
-    # effect of each module's ``SPEC = register_spec(...)`` line.
-    import repro.bench.experiments  # noqa: F401
-
-
 def get_spec(experiment_id: str) -> ExperimentSpec:
-    """The spec for ``experiment_id`` (case-insensitive)."""
-    _ensure_loaded()
+    """The spec for ``experiment_id`` (case-insensitive).
+
+    The first lookup of an id imports its experiment module, which
+    registers the spec; every later lookup is one dict hit.
+    """
     key = experiment_id.upper()
-    try:
-        return _REGISTRY[key]
-    except KeyError:
+    spec = _REGISTRY.get(key)
+    if spec is not None:
+        return spec
+    # Imported here: sharded campaigns use this module but no experiment.
+    from repro.bench.experiments import MODULES
+
+    if key not in MODULES:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; "
-            f"known: {', '.join(experiment_ids())}"
-        ) from None
+            f"known: {', '.join(MODULES)}"
+        )
+    importlib.import_module(f"repro.bench.experiments.{MODULES[key]}")
+    return _REGISTRY[key]
 
 
 def all_specs() -> list[ExperimentSpec]:
-    """Every registered spec in R1..R19 order."""
-    _ensure_loaded()
+    """Every registered spec in R1..R20 order (imports every experiment)."""
+    for experiment_id in experiment_ids():
+        get_spec(experiment_id)
     return sorted(_REGISTRY.values(), key=lambda spec: spec.index)
 
 
 def experiment_ids() -> list[str]:
-    """Registered experiment ids in canonical order."""
-    return [spec.experiment_id for spec in all_specs()]
+    """Experiment ids in canonical order (imports no experiment module)."""
+    from repro.bench.experiments import MODULES
+
+    return list(MODULES)

@@ -22,10 +22,12 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "cached_process_pool",
@@ -86,6 +88,9 @@ def cached_process_pool(
     moves it to the back, and overflowing :data:`_POOL_CACHE_SIZE` shuts
     down the front.
     """
+    # Imported here: it loads multiprocessing, which inline runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
     if max_workers < 1:
         raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     with _pool_lock:

@@ -3,61 +3,44 @@
 See DESIGN.md for the experiment index.  Each module exposes
 ``run(...) -> ExperimentResult`` and registers an
 :class:`~repro.bench.engine.spec.ExperimentSpec` describing its id, title,
-artifact kind, seedlessness and upstream dependencies.  ``ALL_EXPERIMENTS``
-is derived from that registry — the modules are the single source of truth.
+artifact kind, seedlessness and upstream dependencies.  :data:`MODULES`
+says which module registers which id, so the registry imports only the
+experiments a run asks for; ``ALL_EXPERIMENTS`` is derived from the registry
+on first use, which imports them all.
 """
 
-from repro.bench.experiments import (
-    r1_catalog,
-    r2_properties,
-    r3_campaign,
-    r4_metric_values,
-    r5_rankings,
-    r6_prevalence,
-    r7_discrimination,
-    r8_scenarios,
-    r9_ahp,
-    r10_sensitivity,
-    r11_agreement,
-    r12_pertype,
-    r13_ranking,
-    r14_significance,
-    r15_difficulty,
-    r16_stability,
-    r17_workload_stability,
-    r18_thresholds,
-    r19_run_noise,
-    r20_ecosystems,
+from repro._lazy import lazy_exports
+
+#: Experiment id -> the module that registers it, in index order.
+#: R1-R11 reproduce the paper's tables/figures; R12-R20 are extensions.
+MODULES = {
+    "R1": "r1_catalog",
+    "R2": "r2_properties",
+    "R3": "r3_campaign",
+    "R4": "r4_metric_values",
+    "R5": "r5_rankings",
+    "R6": "r6_prevalence",
+    "R7": "r7_discrimination",
+    "R8": "r8_scenarios",
+    "R9": "r9_ahp",
+    "R10": "r10_sensitivity",
+    "R11": "r11_agreement",
+    "R12": "r12_pertype",
+    "R13": "r13_ranking",
+    "R14": "r14_significance",
+    "R15": "r15_difficulty",
+    "R16": "r16_stability",
+    "R17": "r17_workload_stability",
+    "R18": "r18_thresholds",
+    "R19": "r19_run_noise",
+    "R20": "r20_ecosystems",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.bench.experiments.base": ("DEFAULT_SEED", "ExperimentResult"),
+        "repro.bench.experiments._index": ("ALL_EXPERIMENTS",),
+        __name__: tuple(MODULES.values()),
+    },
 )
-from repro.bench.engine.spec import all_specs
-from repro.bench.experiments.base import DEFAULT_SEED, ExperimentResult
-
-#: Experiment id -> ``run`` callable, in index order.  R1-R11 reproduce the
-#: paper's tables/figures; R12-R20 are extensions.
-ALL_EXPERIMENTS = {spec.experiment_id: spec.runner for spec in all_specs()}
-
-__all__ = [
-    "DEFAULT_SEED",
-    "ExperimentResult",
-    "ALL_EXPERIMENTS",
-    "r1_catalog",
-    "r2_properties",
-    "r3_campaign",
-    "r4_metric_values",
-    "r5_rankings",
-    "r6_prevalence",
-    "r7_discrimination",
-    "r8_scenarios",
-    "r9_ahp",
-    "r10_sensitivity",
-    "r11_agreement",
-    "r12_pertype",
-    "r13_ranking",
-    "r14_significance",
-    "r15_difficulty",
-    "r16_stability",
-    "r17_workload_stability",
-    "r18_thresholds",
-    "r19_run_noise",
-    "r20_ecosystems",
-]

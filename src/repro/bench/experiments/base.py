@@ -1,6 +1,6 @@
 """Common experiment infrastructure.
 
-Every reproduction experiment (R1..R19, see DESIGN.md) is a module exposing
+Every reproduction experiment (R1..R20, see DESIGN.md) is a module exposing
 ``run(...) -> ExperimentResult``.  The result carries both machine-readable
 data (for tests and the agreement experiment) and rendered text sections
 (the paper-table/figure analogues) so benches and examples just print it.

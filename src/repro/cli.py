@@ -21,7 +21,7 @@ Usage::
     python -m repro stats m.json          # print a metrics dump as tables
     python -m repro stats --cache-dir .cache  # quarantined-cache summary
 
-Experiments R1-R11 reproduce the paper's tables and figures; R12-R19 are
+Experiments R1-R11 reproduce the paper's tables and figures; R12-R20 are
 extensions.  All runs are deterministic in ``--seed`` — ``--jobs N``
 produces byte-identical reports to a serial run, only faster.  Everything
 the CLI knows about an experiment (title, artifact kind, seedlessness,
@@ -66,8 +66,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.bench.engine.scheduler import run_experiments
-from repro.bench.engine.spec import all_specs, experiment_ids
 from repro.bench.result import DEFAULT_SEED
 
 __all__ = ["main", "build_parser"]
@@ -413,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _normalize_ids(requested: Sequence[str]) -> list[str]:
+    from repro.bench.engine.spec import experiment_ids
+
     known = experiment_ids()
     if any(item.lower() == "all" for item in requested):
         return known
@@ -428,6 +428,8 @@ def _normalize_ids(requested: Sequence[str]) -> list[str]:
 
 
 def _cmd_list() -> int:
+    from repro.bench.engine.spec import all_specs
+
     for spec in all_specs():
         print(f"{spec.experiment_id:4s} {spec.list_line}")
     return 0
@@ -454,8 +456,9 @@ def _cmd_run(
 ) -> int:
     from repro.bench.engine.faults import FaultPlan, parse_fault
     from repro.bench.engine.manifest import RunManifest
+    from repro.bench.engine.scheduler import run_experiments
     from repro.errors import ConfigurationError, EngineError
-    from repro.obs import Observability, Profiler, Tracer
+    from repro.obs import Observability, Tracer
     from repro.persist import load_json
 
     if jobs < 1:
@@ -478,7 +481,11 @@ def _cmd_run(
     )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    profiler = Profiler(profile_dir) if profile_dir is not None else None
+    profiler = None
+    if profile_dir is not None:
+        from repro.obs import Profiler
+
+        profiler = Profiler(profile_dir)
     obs = Observability(
         tracer=Tracer(enabled=trace_path is not None), profiler=profiler
     )
@@ -737,8 +744,6 @@ def _cmd_list_ecosystems() -> int:
 def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
     """Fail fast on unknown/ill-combined --ecosystem / --tool-family."""
     from repro.errors import ConfigurationError
-    from repro.tools.families import get_family
-    from repro.workload.ecosystems import get_ecosystem
 
     sharded = args.scale is not None
     if args.ecosystem is not None:
@@ -750,6 +755,8 @@ def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
                 "pass --ecosystem alongside it"
             )
         if args.ecosystem != "all":
+            from repro.workload.ecosystems import get_ecosystem
+
             try:
                 get_ecosystem(args.ecosystem)
             except ConfigurationError as error:
@@ -769,6 +776,8 @@ def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
     if args.tool_families is not None:
         if not sharded:
             raise SystemExit("--tool-family requires --scale")
+        from repro.tools.families import get_family
+
         for key in args.tool_families:
             try:
                 get_family(key)

@@ -1,25 +1,17 @@
 """Simulated expert panels for the MCDA validation."""
 
-from repro.experts.elicitation import (
-    ScenarioValidation,
-    elicit_hierarchy,
-    validate_scenario,
-)
-from repro.experts.expert import Expert
-from repro.experts.panel import (
-    ExpertPanel,
-    aggregate_judgments,
-    aggregate_priorities,
-    default_panel,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioValidation",
-    "elicit_hierarchy",
-    "validate_scenario",
-    "Expert",
-    "ExpertPanel",
-    "aggregate_judgments",
-    "aggregate_priorities",
-    "default_panel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experts.elicitation": (
+            "ScenarioValidation", "elicit_hierarchy", "validate_scenario",
+        ),
+        "repro.experts.expert": ("Expert",),
+        "repro.experts.panel": (
+            "ExpertPanel", "aggregate_judgments", "aggregate_priorities",
+            "default_panel",
+        ),
+    },
+)

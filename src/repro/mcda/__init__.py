@@ -1,43 +1,23 @@
 """Multi-criteria decision analysis: AHP, SAW, TOPSIS, sensitivity."""
 
-from repro.mcda.electre import ElectreResult, electre_i
-from repro.mcda.promethee import PrometheeResult, promethee_ii
-from repro.mcda.repair import RepairResult, blend_toward_consistency, repair_matrix
-from repro.mcda.ahp import AhpHierarchy, AhpResult, comparison_from_scores
-from repro.mcda.pairwise import (
-    SAATY_VALUES,
-    PairwiseComparisonMatrix,
-    random_index,
-    snap_to_saaty,
-)
-from repro.mcda.saw import SawResult, simple_additive_weighting
-from repro.mcda.sensitivity import (
-    PerturbationOutcome,
-    SensitivityReport,
-    weight_sensitivity,
-)
-from repro.mcda.topsis import TopsisResult, topsis
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ElectreResult",
-    "electre_i",
-    "PrometheeResult",
-    "promethee_ii",
-    "RepairResult",
-    "blend_toward_consistency",
-    "repair_matrix",
-    "AhpHierarchy",
-    "AhpResult",
-    "comparison_from_scores",
-    "SAATY_VALUES",
-    "PairwiseComparisonMatrix",
-    "random_index",
-    "snap_to_saaty",
-    "SawResult",
-    "simple_additive_weighting",
-    "PerturbationOutcome",
-    "SensitivityReport",
-    "weight_sensitivity",
-    "TopsisResult",
-    "topsis",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mcda.electre": ("ElectreResult", "electre_i"),
+        "repro.mcda.promethee": ("PrometheeResult", "promethee_ii"),
+        "repro.mcda.repair": (
+            "RepairResult", "blend_toward_consistency", "repair_matrix",
+        ),
+        "repro.mcda.ahp": ("AhpHierarchy", "AhpResult", "comparison_from_scores"),
+        "repro.mcda.pairwise": (
+            "SAATY_VALUES", "PairwiseComparisonMatrix", "random_index", "snap_to_saaty",
+        ),
+        "repro.mcda.saw": ("SawResult", "simple_additive_weighting"),
+        "repro.mcda.sensitivity": (
+            "PerturbationOutcome", "SensitivityReport", "weight_sensitivity",
+        ),
+        "repro.mcda.topsis": ("TopsisResult", "topsis"),
+    },
+)

@@ -8,23 +8,17 @@ Public surface:
 - :class:`MetricRegistry`, :func:`default_registry`, :func:`core_candidates`.
 """
 
-from repro.metrics import curves, definitions
-from repro.metrics.base import Metric, MetricFamily, MetricInfo, Orientation
-from repro.metrics.batch import ConfusionBatch, safe_div_array
-from repro.metrics.confusion import ConfusionMatrix
-from repro.metrics.registry import MetricRegistry, core_candidates, default_registry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfusionMatrix",
-    "ConfusionBatch",
-    "safe_div_array",
-    "Metric",
-    "MetricFamily",
-    "MetricInfo",
-    "Orientation",
-    "MetricRegistry",
-    "default_registry",
-    "core_candidates",
-    "definitions",
-    "curves",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.confusion": ("ConfusionMatrix",),
+        "repro.metrics.batch": ("ConfusionBatch", "safe_div_array"),
+        "repro.metrics.base": ("Metric", "MetricFamily", "MetricInfo", "Orientation"),
+        "repro.metrics.registry": (
+            "MetricRegistry", "default_registry", "core_candidates",
+        ),
+        __name__: ("definitions", "curves"),
+    },
+)

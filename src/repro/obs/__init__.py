@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     METRICS_SCHEMA,
@@ -37,12 +38,16 @@ from repro.obs.metrics import (
     MetricsRegistry,
     diff_dumps,
 )
-from repro.obs.profiling import HotspotRow, Profiler, ProfileReport
 from repro.obs.tracer import (
     TRACE_SCHEMA,
     SpanRecord,
     Tracer,
     spans_from_chrome_trace,
+)
+
+# Profiling pulls in cProfile and pstats, which only ``--profile`` uses.
+_profiling, __getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.obs.profiling": ("Profiler", "ProfileReport", "HotspotRow")}
 )
 
 __all__ = [
@@ -59,9 +64,7 @@ __all__ = [
     "diff_dumps",
     "METRICS_SCHEMA",
     "DEFAULT_SECONDS_BUCKETS",
-    "Profiler",
-    "ProfileReport",
-    "HotspotRow",
+    *_profiling,
 ]
 
 

@@ -1,44 +1,22 @@
 """Characteristics of a good metric, made executable."""
 
-from repro.properties.base import (
-    AssessmentContext,
-    MetricProperty,
-    OperatingPoint,
-    PropertyAssessment,
-)
-from repro.properties.checks import (
-    Boundedness,
-    ChanceCorrection,
-    Definedness,
-    Discriminance,
-    PrevalenceInvariance,
-    Repeatability,
-    RewardsDetection,
-    RewardsSilence,
-)
-from repro.properties.matrix import (
-    PropertiesMatrix,
-    build_properties_matrix,
-    default_properties,
-)
-from repro.properties.qualitative import Acceptance, Understandability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssessmentContext",
-    "MetricProperty",
-    "OperatingPoint",
-    "PropertyAssessment",
-    "Boundedness",
-    "ChanceCorrection",
-    "Definedness",
-    "Discriminance",
-    "PrevalenceInvariance",
-    "Repeatability",
-    "RewardsDetection",
-    "RewardsSilence",
-    "PropertiesMatrix",
-    "build_properties_matrix",
-    "default_properties",
-    "Acceptance",
-    "Understandability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.properties.base": (
+            "AssessmentContext", "MetricProperty", "OperatingPoint",
+            "PropertyAssessment",
+        ),
+        "repro.properties.checks": (
+            "Boundedness", "ChanceCorrection", "Definedness", "Discriminance",
+            "PrevalenceInvariance", "Repeatability", "RewardsDetection",
+            "RewardsSilence",
+        ),
+        "repro.properties.matrix": (
+            "PropertiesMatrix", "build_properties_matrix", "default_properties",
+        ),
+        "repro.properties.qualitative": ("Acceptance", "Understandability"),
+    },
+)

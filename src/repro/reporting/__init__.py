@@ -1,17 +1,13 @@
 """Plain-text tables, ASCII figures, markdown and bench-table rendering."""
 
-from repro.reporting.benchtables import BenchTable, bench_tables, refresh_doc
-from repro.reporting.figures import ascii_chart
-from repro.reporting.markdown import experiment_to_markdown, format_markdown_table
-from repro.reporting.tables import format_cell, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchTable",
-    "ascii_chart",
-    "bench_tables",
-    "experiment_to_markdown",
-    "format_markdown_table",
-    "format_cell",
-    "format_table",
-    "refresh_doc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.reporting.benchtables": ("BenchTable", "bench_tables", "refresh_doc"),
+        "repro.reporting.figures": ("ascii_chart",),
+        "repro.reporting.markdown": ("experiment_to_markdown", "format_markdown_table"),
+        "repro.reporting.tables": ("format_cell", "format_table"),
+    },
+)

@@ -1,25 +1,18 @@
 """Use scenarios and analytical metric adequacy."""
 
-from repro.scenarios.adequacy import (
-    AdequacyConfig,
-    AdequacyResult,
-    rank_metrics_for_scenario,
-    scenario_adequacy,
-)
-from repro.scenarios.cost_model import CostStructure
-from repro.scenarios.guidance import GuidanceAnswers, Recommendation, recommend
-from repro.scenarios.scenarios import Scenario, canonical_scenarios, scenario_by_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdequacyConfig",
-    "AdequacyResult",
-    "rank_metrics_for_scenario",
-    "scenario_adequacy",
-    "CostStructure",
-    "GuidanceAnswers",
-    "Recommendation",
-    "recommend",
-    "Scenario",
-    "canonical_scenarios",
-    "scenario_by_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.adequacy": (
+            "AdequacyConfig", "AdequacyResult", "rank_metrics_for_scenario",
+            "scenario_adequacy",
+        ),
+        "repro.scenarios.cost_model": ("CostStructure",),
+        "repro.scenarios.guidance": ("GuidanceAnswers", "Recommendation", "recommend"),
+        "repro.scenarios.scenarios": (
+            "Scenario", "canonical_scenarios", "scenario_by_key",
+        ),
+    },
+)

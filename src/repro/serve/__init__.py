@@ -23,25 +23,15 @@ mid-campaign resumes every in-flight job on restart with totals
 bit-identical to an uninterrupted run (architecture invariant 9).
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.serve.cache import ResultCache
-from repro.serve.fairness import DeficitRoundRobin, QueuedJob
-from repro.serve.queue import JOB_STATES, JobQueue, JobRecord, JobSpec
-from repro.serve.service import CampaignService, ServiceConfig
-from repro.serve.trace import PoissonTrace, TraceEvent, build_trace
-
-__all__ = [
-    "DeficitRoundRobin",
-    "QueuedJob",
-    "JobSpec",
-    "JobRecord",
-    "JobQueue",
-    "JOB_STATES",
-    "ResultCache",
-    "CampaignService",
-    "ServiceConfig",
-    "PoissonTrace",
-    "TraceEvent",
-    "build_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.fairness": ("DeficitRoundRobin", "QueuedJob"),
+        "repro.serve.queue": ("JobSpec", "JobRecord", "JobQueue", "JOB_STATES"),
+        "repro.serve.cache": ("ResultCache",),
+        "repro.serve.service": ("CampaignService", "ServiceConfig"),
+        "repro.serve.trace": ("PoissonTrace", "TraceEvent", "build_trace"),
+    },
+)

@@ -1,55 +1,29 @@
 """Vulnerability detection tools: real detectors over the mini-IR plus
 parametric simulated scanners."""
 
-from repro.tools.base import Detection, DetectionReport, VulnerabilityDetectionTool
-from repro.tools.dynamic_injector import DynamicInjector
-from repro.tools.ensemble import EnsembleTool
-from repro.tools.families import (
-    ToolFamily,
-    all_families,
-    build_family,
-    family_names,
-    get_family,
-    register_family,
-    suite_for_ecosystem,
-)
-from repro.tools.pattern_scanner import PatternScanner
-from repro.tools.sca_matcher import ScaMatcher, dependency_mask, is_dependency_unit
-from repro.tools.simulated import SimulatedTool, ToolProfile
-from repro.tools.suite import real_tool_suite, reference_suite, simulated_pool
-from repro.tools.taint_analyzer import TaintAnalyzer
-from repro.tools.thresholded import (
-    ThresholdedTool,
-    ThresholdPoint,
-    optimal_threshold,
-    threshold_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Detection",
-    "DetectionReport",
-    "VulnerabilityDetectionTool",
-    "DynamicInjector",
-    "EnsembleTool",
-    "ToolFamily",
-    "all_families",
-    "build_family",
-    "family_names",
-    "get_family",
-    "register_family",
-    "suite_for_ecosystem",
-    "PatternScanner",
-    "ScaMatcher",
-    "dependency_mask",
-    "is_dependency_unit",
-    "SimulatedTool",
-    "ToolProfile",
-    "TaintAnalyzer",
-    "ThresholdedTool",
-    "ThresholdPoint",
-    "optimal_threshold",
-    "threshold_sweep",
-    "real_tool_suite",
-    "reference_suite",
-    "simulated_pool",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tools.base": (
+            "Detection", "DetectionReport", "VulnerabilityDetectionTool",
+        ),
+        "repro.tools.dynamic_injector": ("DynamicInjector",),
+        "repro.tools.ensemble": ("EnsembleTool",),
+        "repro.tools.families": (
+            "ToolFamily", "all_families", "build_family", "family_names", "get_family",
+            "register_family", "suite_for_ecosystem",
+        ),
+        "repro.tools.pattern_scanner": ("PatternScanner",),
+        "repro.tools.sca_matcher": (
+            "ScaMatcher", "dependency_mask", "is_dependency_unit",
+        ),
+        "repro.tools.simulated": ("SimulatedTool", "ToolProfile"),
+        "repro.tools.taint_analyzer": ("TaintAnalyzer",),
+        "repro.tools.thresholded": (
+            "ThresholdedTool", "ThresholdPoint", "optimal_threshold", "threshold_sweep",
+        ),
+        "repro.tools.suite": ("real_tool_suite", "reference_suite", "simulated_pool"),
+    },
+)

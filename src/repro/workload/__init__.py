@@ -1,77 +1,36 @@
 """Synthetic vulnerability-detection workloads (the benchmark substrate)."""
 
-from repro.workload.corpus import corpus_units, corpus_workload
-from repro.workload.mutations import break_site, extend_chain, fix_site
-from repro.workload.code_model import CodeUnit, SinkSite, Statement, StatementKind
-from repro.workload.ecosystems import (
-    DEFAULT_ECOSYSTEM,
-    EcosystemProfile,
-    all_ecosystems,
-    ecosystem_names,
-    get_ecosystem,
-    register_ecosystem,
-)
-from repro.workload.columnar import (
-    ShardColumns,
-    decode_columns,
-    generate_workload_batch,
-    materialize_workload,
-    supports_batch,
-)
-from repro.workload.generator import (
-    SiteProfile,
-    Workload,
-    WorkloadConfig,
-    generate_workload,
-    generate_workload_scalar,
-)
-from repro.workload.ground_truth import GroundTruth
-from repro.workload.sharded import (
-    DEFAULT_SHARD_SIZE,
-    ShardPlan,
-    ShardSpec,
-    plan_shards,
-    shard_seed,
-)
-from repro.workload.oracle import is_site_vulnerable, taint_state_after, vulnerable_sites
-from repro.workload.taxonomy import TRAITS, VulnerabilityTraits, VulnerabilityType
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "corpus_units",
-    "corpus_workload",
-    "break_site",
-    "extend_chain",
-    "fix_site",
-    "CodeUnit",
-    "DEFAULT_ECOSYSTEM",
-    "EcosystemProfile",
-    "all_ecosystems",
-    "ecosystem_names",
-    "get_ecosystem",
-    "register_ecosystem",
-    "SinkSite",
-    "Statement",
-    "StatementKind",
-    "SiteProfile",
-    "Workload",
-    "WorkloadConfig",
-    "generate_workload",
-    "generate_workload_scalar",
-    "generate_workload_batch",
-    "ShardColumns",
-    "decode_columns",
-    "materialize_workload",
-    "supports_batch",
-    "GroundTruth",
-    "DEFAULT_SHARD_SIZE",
-    "ShardPlan",
-    "ShardSpec",
-    "plan_shards",
-    "shard_seed",
-    "is_site_vulnerable",
-    "taint_state_after",
-    "vulnerable_sites",
-    "TRAITS",
-    "VulnerabilityTraits",
-    "VulnerabilityType",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workload.corpus": ("corpus_units", "corpus_workload"),
+        "repro.workload.mutations": ("break_site", "extend_chain", "fix_site"),
+        "repro.workload.code_model": (
+            "CodeUnit", "SinkSite", "Statement", "StatementKind",
+        ),
+        "repro.workload.ecosystems": (
+            "DEFAULT_ECOSYSTEM", "EcosystemProfile", "all_ecosystems",
+            "ecosystem_names", "get_ecosystem", "register_ecosystem",
+        ),
+        "repro.workload.generator": (
+            "SiteProfile", "Workload", "WorkloadConfig", "generate_workload",
+            "generate_workload_scalar",
+        ),
+        "repro.workload.columnar": (
+            "generate_workload_batch", "ShardColumns", "decode_columns",
+            "materialize_workload", "supports_batch",
+        ),
+        "repro.workload.ground_truth": ("GroundTruth",),
+        "repro.workload.sharded": (
+            "DEFAULT_SHARD_SIZE", "ShardPlan", "ShardSpec", "plan_shards", "shard_seed",
+        ),
+        "repro.workload.oracle": (
+            "is_site_vulnerable", "taint_state_after", "vulnerable_sites",
+        ),
+        "repro.workload.taxonomy": (
+            "TRAITS", "VulnerabilityTraits", "VulnerabilityType",
+        ),
+    },
+)

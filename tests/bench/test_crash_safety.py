@@ -357,6 +357,42 @@ class TestShardDeadline:
         )
         assert [r.status for r in run.manifest.records] == ["completed"] * 6
 
+    def test_pool_rebuild_restores_the_window(self, monkeypatch):
+        # Shard 0 wedges a worker past its deadline, which shrinks the
+        # window to one; shard 6 then kills the other worker.  Evicting
+        # the broken pool ends the wedged worker too, so every submission
+        # to the rebuilt pool sees the full window, and teardown has no
+        # wedged worker left to evict the healthy pool for.
+        submissions, evictions = [], []
+        submit, evict = runner.TaskRun._submit, runner.evict_process_pool
+
+        def spy_submit(self, key, attempt):
+            submissions.append((key, attempt, self.rebuilds, self.window))
+            submit(self, key, attempt)
+
+        def spy_evict(key):
+            evictions.append(key)
+            evict(key)
+
+        monkeypatch.setattr(runner.TaskRun, "_submit", spy_submit)
+        monkeypatch.setattr(runner, "evict_process_pool", spy_evict)
+        faults = FaultPlan(
+            (FaultSpec(shard_fault_id(0), hang_seconds=30.0),)
+            + hang_faults(0.4, *range(1, 6)).faults
+            + kill_fault(6).faults
+        )
+        run = run_sharded_campaign(
+            scale=800, shard_size=100, seed=SEED,
+            jobs=2, executor="process", keep_going=True, timeout=1.0,
+            faults=faults,
+        )
+        statuses = {r.index: r.status for r in run.manifest.records}
+        assert statuses == {0: "timeout", **{i: "completed" for i in range(1, 8)}}
+        rebuilt = [entry for entry in submissions if entry[2] == 1]
+        assert [(key, attempt) for key, attempt, _, _ in rebuilt] == [(6, 2), (7, 1)]
+        assert all(window == 2 for *_, window in rebuilt)
+        assert len(evictions) == 1
+
     def test_timed_out_shard_resumes_bit_identically(self, reference_400):
         run = run_sharded_campaign(
             scale=400, shard_size=100, seed=SEED,

@@ -27,8 +27,8 @@ def run_workload(tracer: Tracer, rounds: int = 10) -> None:
                 pass
 
 
-class TestRingWraparound:
-    def test_len_counts_ring_and_drained_records(self):
+class TestCloseOrder:
+    def test_len_counts_closed_records(self):
         tracer = Tracer()
         for _ in range(5):
             with tracer.span("work"):
@@ -37,7 +37,7 @@ class TestRingWraparound:
         assert len(tracer.spans) == 5
         assert len(tracer) == 5  # reading consumes nothing
 
-    def test_close_order_survives_interleaved_drains(self):
+    def test_close_order_survives_interleaved_reads(self):
         tracer = Tracer()
         for index in range(4):
             with tracer.span("a", index=index):
@@ -60,7 +60,7 @@ class TestLazyConversion:
         assert starts == sorted(starts)
         assert all(start >= 0 for start in starts)
 
-    def test_args_coerced_at_drain_not_close(self):
+    def test_args_coerced_at_close(self):
         # Coerced and sorted when the span closes: the record is final.
         tracer = Tracer()
         with tracer.span("x", weird=object(), b=2, a="one"):
@@ -70,7 +70,7 @@ class TestLazyConversion:
         assert keys == sorted(keys)
         json.dumps(dict(record.args))
 
-    def test_nesting_resolved_in_ring_lane(self):
+    def test_nesting_resolved_at_close(self):
         tracer = Tracer()
         run_workload(tracer, rounds=4)
         by_id = {record.span_id: record for record in tracer.spans}
@@ -94,7 +94,7 @@ class TestLazyConversion:
         assert names == ["local.work", "remote.work"]
 
 
-class TestRingThreading:
+class TestConcurrentCloses:
     def test_concurrent_closes_never_drop_spans(self):
         tracer = Tracer()
 

@@ -43,8 +43,10 @@ class TestList:
 
 class TestRun:
     def test_unknown_id_is_a_clean_error(self):
-        with pytest.raises(SystemExit, match="unknown experiment 'R99'"):
+        known = ", ".join(f"R{index}" for index in range(1, 21))
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "R99"])
+        assert str(excinfo.value) == f"unknown experiment 'R99'; known: {known}"
 
     def test_run_r1_prints_report_and_timing(self, capsys):
         assert main(["run", "R1"]) == 0

@@ -55,6 +55,11 @@ still works.  This checker runs three fast probes:
 10. **Serve smoke** — a real ``repro serve`` subprocess must accept a
     campaign over HTTP, run it to completion, and return totals equal to
     an in-process ``run_sharded_campaign`` at the same parameters.
+11. **Cold start** — ``import repro``, ``run --scale 200``, ``run R3`` and
+    ``import repro.serve.app``, each in a fresh interpreter, must load
+    none of the modules :data:`COLD_START_GATES` keeps off their path
+    (package exports resolve on first use; the registry imports one
+    experiment module per id).
 
 Usage::
 
@@ -98,6 +103,42 @@ SERVE_JSON = Path(__file__).resolve().parent.parent / "results" / "BENCH_serve.j
 SERVE_JSON_SCHEMA = "repro/bench-serve@1"
 #: Sections docs/serve.md cites from the serve dump.
 SERVE_SECTIONS = ("latency", "fairness")
+
+_RUN = "from repro.cli import main\nif main({argv!r}):\n    raise SystemExit(1)"
+#: Cold starts and what they must not load: ``(label, code run in a fresh
+#: interpreter, forbidden modules, exempt modules)``.  A forbidden name
+#: covers its submodules; an exempt name is allowed by exact match.
+COLD_START_GATES = (
+    ("import repro", "import repro", ("repro", "numpy"), ("repro", "repro._lazy")),
+    (
+        "run --scale 200",
+        _RUN.format(argv=["run", "--scale", "200", "--seed", "5", "--quiet"]),
+        (
+            "repro.mcda", "repro.experts", "repro.scenarios", "repro.properties",
+            "repro.stats", "repro.serve", "repro.bench.experiments",
+            "multiprocessing", "asyncio", "cProfile",
+        ),
+        (),
+    ),
+    (
+        "run R3",
+        _RUN.format(argv=["run", "R3", "--seed", "5", "--quiet"]),
+        ("repro.bench.experiments",),
+        (
+            "repro.bench.experiments", "repro.bench.experiments.base",
+            "repro.bench.experiments.r3_campaign",
+        ),
+    ),
+    (
+        "import repro.serve.app",
+        "import repro.serve.app",
+        (
+            "repro.mcda", "repro.experts", "repro.scenarios", "repro.properties",
+            "repro.bench.experiments",
+        ),
+        (),
+    ),
+)
 
 
 def _parity_matrices() -> list:
@@ -960,6 +1001,38 @@ def check_serve_smoke() -> list[str]:
     return problems
 
 
+def check_cold_start() -> list[str]:
+    """Each cold start in :data:`COLD_START_GATES` loads only its own path."""
+    repo_root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo_root / "src")
+    problems = []
+    for label, code, forbidden, exempt in COLD_START_GATES:
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))",
+            ],
+            env=env, cwd=repo_root, capture_output=True, text=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            problems.append(
+                f"cold start: {label} exited {proc.returncode}: "
+                f"{proc.stderr.strip()[-300:]}"
+            )
+            continue
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        stray = [
+            name
+            for name in loaded
+            if name not in exempt
+            and any(name == f or name.startswith(f + ".") for f in forbidden)
+        ]
+        if stray:
+            problems.append(f"cold start: {label} loaded {', '.join(stray)}")
+    return problems
+
+
 def main() -> int:
     problems = (
         check_kernel_parity()
@@ -975,6 +1048,7 @@ def main() -> int:
         + check_cross_ecosystem()
         + check_chaos_recovery()
         + check_serve_smoke()
+        + check_cold_start()
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -986,8 +1060,8 @@ def main() -> int:
         "evaluation parity, dump schemas, fault-injection smoke, "
         "shard-scale smoke (executor parity), cross-ecosystem smoke, "
         "chaos-recovery "
-        "smoke (worker-kill / hung / parent-kill / torn-journal), and serve "
-        "smoke (HTTP campaign parity) checked"
+        "smoke (worker-kill / hung / parent-kill / torn-journal), serve "
+        "smoke (HTTP campaign parity), and cold-start module sets checked"
     )
     return 0
 
