@@ -17,7 +17,7 @@ pieces:
   traffic and per-experiment statuses;
 - :func:`run_sharded_campaign` — the same machinery over the seed-addressed
   shards of a ``--scale`` campaign, folding cells into exact totals, with
-  a write-ahead journal and graceful drain;
+  a write-ahead journal (its one resume input) and graceful drain;
 - :mod:`~repro.bench.engine.runner` — the one supervised task loop both of
   those drive: inline or process-pool execution, retries, keep-going,
   worker-crash supervision and the per-attempt ``timeout`` deadline;

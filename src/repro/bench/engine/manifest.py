@@ -34,9 +34,6 @@ __all__ = [
 ]
 
 MANIFEST_SCHEMA = "repro/run-manifest@2"
-#: Schemas from before the fault-tolerance layer that still load (their
-#: records default to ``status="completed"``, ``attempts=1``).
-_LEGACY_SCHEMAS = ("repro/run-manifest@1",)
 
 #: Valid values of :attr:`ExperimentRunRecord.status`.
 STATUSES = ("completed", "failed", "skipped", "timeout")
@@ -260,18 +257,11 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunManifest":
-        """Rebuild a manifest, failing loudly on schema drift.
-
-        Manifests written before the fault-tolerance layer
-        (``repro/run-manifest@1``) still load; their records default to
-        ``status="completed"``.
-        """
+        """Rebuild a manifest, failing loudly on schema drift."""
         found = payload.get("schema")
-        if found != MANIFEST_SCHEMA and found not in _LEGACY_SCHEMAS:
+        if found != MANIFEST_SCHEMA:
             raise ConfigurationError(
-                f"expected schema {MANIFEST_SCHEMA!r} "
-                f"(or legacy {', '.join(map(repr, _LEGACY_SCHEMAS))}), "
-                f"found {found!r}"
+                f"expected schema {MANIFEST_SCHEMA!r}, found {found!r}"
             )
         records = tuple(
             ExperimentRunRecord(
@@ -288,8 +278,8 @@ class RunManifest:
                     )
                     for event in entry["artifacts"]
                 ),
-                status=entry.get("status", "completed"),
-                attempts=entry.get("attempts", 1),
+                status=entry["status"],
+                attempts=entry["attempts"],
                 failure=(
                     FailureRecord.from_dict(entry["failure"])
                     if entry.get("failure") is not None

@@ -30,10 +30,8 @@ use), so engine semantics carry over wholesale:
   without generating or analyzing anything;
 - **fault tolerance** — ``retries`` re-attempts a failed shard (the shard
   seed is a pure function of its index, so a recovered run is
-  bit-identical to a clean one), ``keep_going`` records the failure and
-  finishes every other shard, and ``resume_from`` re-executes only the
-  non-completed shards of a prior :class:`ShardRunManifest`, folding the
-  carried cells verbatim;
+  bit-identical to a clean one), and ``keep_going`` records the failure
+  and finishes every other shard;
 - **fault injection** — a :class:`~repro.bench.engine.faults.FaultPlan`
   targets shards by :func:`shard_fault_id` (``S000003`` for shard 3), so
   ``--inject-fault s3:fail=1`` exercises the retry path deterministically;
@@ -49,10 +47,12 @@ use), so engine semantics carry over wholesale:
   (:data:`~repro.bench.engine.runner.QUARANTINE_AFTER`) is recorded
   with status ``quarantined`` and the campaign continues under
   ``keep_going``.  ``wal_path`` appends every folded shard to an
-  fsync'd write-ahead journal
-  (:mod:`repro.bench.engine.wal`), so a SIGKILL'd *parent* recovers via
-  ``resume_journal`` — replay the journal, re-run only missing shards,
-  bit-identical totals.  A :class:`~repro.bench.engine.supervise.
+  fsync'd write-ahead journal (:mod:`repro.bench.engine.wal`), and is
+  the one resume input: a path that already holds the campaign's
+  journal is continued — replay it, re-run only the missing shards,
+  bit-identical totals — so a failed, drained or SIGKILL'd run finishes
+  by running again over the same journal.  The manifest is a record
+  that nothing reads back.  A :class:`~repro.bench.engine.supervise.
   ShutdownSignal` drains in-flight shards on SIGTERM/SIGINT and still
   writes the partial manifest, and ``timeout`` gives each shard attempt
   a deadline, counted from its submission, past which the shard is
@@ -77,7 +77,12 @@ from repro.bench.engine.faults import PARENT_FAULT_ID, FaultPlan, FaultSpec
 from repro.bench.engine.manifest import FailureRecord
 from repro.bench.engine.runner import TaskRun, check_policy, worker_cached
 from repro.bench.engine.supervise import ShutdownSignal
-from repro.bench.engine.wal import JournalHeader, ShardJournal
+from repro.bench.engine.wal import (
+    JournalHeader,
+    JournalReplay,
+    ShardJournal,
+    open_journal,
+)
 from repro.bench.result import DEFAULT_SEED
 from repro.bench.streaming import (
     CampaignAccumulator,
@@ -102,11 +107,6 @@ __all__ = [
 ]
 
 SHARD_MANIFEST_SCHEMA = "repro/shard-run@2"
-
-#: Schemas :meth:`ShardRunManifest.from_dict` accepts: @2 added the
-#: ``quarantined`` / ``timeout`` statuses; @1 manifests are a strict
-#: subset, so resuming them keeps working.
-_ACCEPTED_SCHEMAS = ("repro/shard-run@1", SHARD_MANIFEST_SCHEMA)
 
 #: Valid values of :attr:`ShardRunRecord.status` (shards have no
 #: dependencies, so there is no ``skipped``).  ``quarantined`` marks a
@@ -169,7 +169,7 @@ class ShardRunRecord:
     wall_seconds: float = 0.0
     cells: ShardCells | None = None
     """The shard's confusion cells (``None`` for failed shards); stored in
-    the manifest so ``--resume`` folds them without re-evaluating."""
+    the manifest so executor-parity checks can compare shards."""
     failure: FailureRecord | None = None
 
     def __post_init__(self) -> None:
@@ -206,39 +206,13 @@ class ShardRunRecord:
             payload["failure"] = self.failure.to_dict()
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardRunRecord":
-        """Rebuild one record (cells validation re-runs on construction)."""
-        from repro.persist import shard_cells_from_dict
-
-        return cls(
-            index=payload["index"],
-            seed=payload["seed"],
-            n_units=payload["n_units"],
-            status=payload.get("status", "completed"),
-            attempts=payload.get("attempts", 1),
-            wall_seconds=payload.get("wall_seconds", 0.0),
-            cells=(
-                shard_cells_from_dict(payload["cells"])
-                if payload.get("cells") is not None
-                else None
-            ),
-            failure=(
-                FailureRecord.from_dict(payload["failure"])
-                if payload.get("failure") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ShardRunManifest:
     """The full record of one sharded campaign run.
 
-    Doubles as the resume token: completed records carry their cells, so
-    ``run_sharded_campaign(resume_from=manifest)`` folds them verbatim and
-    re-executes only the failed shards — at the same derived shard seeds,
-    so the finished totals are bit-identical to an uninterrupted run.
+    A record nothing reads back: a run resumes from its journal
+    (``wal_path``), which holds every shard this manifest would.
     """
 
     seed: int
@@ -250,10 +224,9 @@ class ShardRunManifest:
     records: tuple[ShardRunRecord, ...]
     cache_dir: str | None = None
     ecosystem: str = DEFAULT_ECOSYSTEM
-    """Ecosystem the corpus was generated under (resume restores it)."""
+    """Ecosystem the corpus was generated under."""
     tool_families: tuple[str, ...] | None = None
-    """Resolved tool-family keys the suite was built from (``None`` in
-    manifests predating tool families: the historical reference suite)."""
+    """Resolved tool-family keys the suite was built from."""
     extra: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -277,11 +250,6 @@ class ShardRunManifest:
     def n_shards(self) -> int:
         """Shards this run actually recorded (``<= planned_shards``)."""
         return len(self.records)
-
-    @property
-    def incomplete_indices(self) -> list[int]:
-        """Shards a ``--resume`` run must re-execute."""
-        return [r.index for r in self.records if not r.completed]
 
     def record_for(self, index: int) -> ShardRunRecord:
         """One shard's record, by index."""
@@ -337,34 +305,6 @@ class ShardRunManifest:
             **({"extra": self.extra} if self.extra else {}),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardRunManifest":
-        """Rebuild a shard-run manifest, failing loudly on schema drift."""
-        found = payload.get("schema")
-        if found not in _ACCEPTED_SCHEMAS:
-            raise ConfigurationError(
-                f"expected a schema in {_ACCEPTED_SCHEMAS}, found {found!r}"
-            )
-        return cls(
-            seed=payload["seed"],
-            scale=payload["scale"],
-            shard_size=payload["shard_size"],
-            jobs=payload["jobs"],
-            executor=payload["executor"],
-            wall_seconds=payload["wall_seconds"],
-            records=tuple(
-                ShardRunRecord.from_dict(entry) for entry in payload["shards"]
-            ),
-            cache_dir=payload.get("cache_dir"),
-            ecosystem=payload.get("ecosystem", DEFAULT_ECOSYSTEM),
-            tool_families=(
-                tuple(payload["tool_families"])
-                if payload.get("tool_families") is not None
-                else None
-            ),
-            extra=payload.get("extra", {}),
-        )
-
 
 @dataclass(frozen=True)
 class ShardedCampaignRun:
@@ -373,8 +313,6 @@ class ShardedCampaignRun:
     totals: StreamingCampaignResult | None
     """Corpus-wide campaign totals (``None`` when no shard completed)."""
     manifest: ShardRunManifest
-    store: ArtifactStore
-    """The artifact store used (reusable for warm follow-up runs)."""
 
     @property
     def ok(self) -> bool:
@@ -384,7 +322,8 @@ class ShardedCampaignRun:
     @property
     def interrupted(self) -> bool:
         """Whether a shutdown request drained this run before it finished
-        (the manifest is partial; ``--resume`` picks up the rest)."""
+        (the manifest is partial; continuing the journal picks up the
+        rest)."""
         return "interrupted" in self.manifest.extra
 
 
@@ -538,25 +477,11 @@ class _FoldSink:
     def fold(self, cells: ShardCells) -> None:
         """Fold one freshly computed shard (journalled, chaos-eligible)."""
         self.accumulator.fold(cells)
-        self._append(cells)
-        self.folds += 1
-        self._apply_parent_fault()
-
-    def fold_carried(self, cells: ShardCells, append: bool = False) -> None:
-        """Fold a shard carried from a manifest or a journal replay.
-
-        Manifest resume passes ``append=True`` so a fresh ``--wal``
-        journal starts complete; journal resume passes ``False`` — the
-        record is already on disk.
-        """
-        self.accumulator.fold(cells)
-        if append:
-            self._append(cells)
-
-    def _append(self, cells: ShardCells) -> None:
         if self.journal is not None:
             self.journal.append_cells(cells.to_array())
             self.obs.metrics.inc("engine.wal.records")
+        self.folds += 1
+        self._apply_parent_fault()
 
     def _apply_parent_fault(self) -> None:
         fault = self.parent_fault
@@ -578,16 +503,13 @@ def run_sharded_campaign(
     executor: str | None = None,
     keep_going: bool = False,
     retries: int = 0,
-    store: ArtifactStore | None = None,
     cache_dir: str | None = None,
     obs: Observability | None = None,
     faults: FaultPlan | None = None,
-    resume_from: ShardRunManifest | None = None,
     ecosystem: str = DEFAULT_ECOSYSTEM,
     tool_families: tuple[str, ...] | None = None,
     timeout: float | None = None,
     wal_path: str | None = None,
-    resume_journal: str | None = None,
     shutdown: ShutdownSignal | None = None,
 ) -> ShardedCampaignRun:
     """Run an ecosystem's tool suite over a sharded ``scale``-unit corpus.
@@ -612,69 +534,50 @@ def run_sharded_campaign(
     the corpus never exists in memory, and the totals are bit-identical to
     the in-memory path regardless of ``jobs``/``executor``/fold order.
 
-    ``resume_from`` takes a prior run's :class:`ShardRunManifest`:
-    completed shards' cells are folded verbatim from the manifest and only
-    the failed shards re-execute, at the plan parameters recorded in the
-    manifest (``scale``/``shard_size``/``seed`` arguments are ignored).
+    ``wal_path`` journals every folded shard (fsync'd) and is the only
+    resume input (:func:`~repro.bench.engine.wal.open_journal`): a path
+    with no journal gets a fresh one, and a path holding a journal is
+    continued — its shards fold verbatim and only the missing ones run.
+    With ``scale=None`` the journal's own plan is used; with an explicit
+    plan, it must equal the journal's (:class:`~repro.errors.
+    ConfigurationError` otherwise, the file untouched).  Any other file
+    at ``wal_path`` is refused (:class:`~repro.errors.PersistError`).
 
     Crash safety (see ``docs/benchmarking.md``, "Crash recovery"): a dead
     worker triggers supervision — the pool is rebuilt (at most
     :data:`~repro.bench.engine.runner.MAX_POOL_REBUILDS` times) and
     crashed shards are re-probed one at a time, quarantining any shard
     attributed :data:`~repro.bench.engine.runner.QUARANTINE_AFTER` worker
-    kills.  ``wal_path`` appends every folded shard to an fsync'd
-    journal; ``resume_journal`` replays one and re-runs only the missing
-    shards (mutually exclusive with ``resume_from``).  ``shutdown`` is a
-    cooperative drain request (the CLI arms it on SIGTERM/SIGINT): when
-    requested, nothing new is submitted, in-flight shards finish, and the
-    partial manifest is still returned (``extra["interrupted"]`` lists
-    the unfinished shards).  ``timeout`` gives each shard attempt that
-    many seconds from its submission; one still running then is recorded
-    ``timeout`` and its worker terminated.
+    kills.  ``shutdown`` is a cooperative drain request (the CLI arms it
+    on SIGTERM/SIGINT): when requested, nothing new is submitted,
+    in-flight shards finish, and the partial manifest is still returned
+    (``extra["interrupted"]`` lists the unfinished shards).  ``timeout``
+    gives each shard attempt that many seconds from its submission; one
+    still running then is recorded ``timeout`` and its worker terminated.
     """
     executor = check_policy(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
         faults=faults,
     )
-    if resume_from is not None and resume_journal is not None:
+    if executor == "process" and obs is not None and obs.profiler is not None:
         raise ConfigurationError(
-            "resume_from and resume_journal are mutually exclusive — "
-            "pick the manifest or the journal, not both"
-        )
-    if resume_journal is not None and wal_path is not None:
-        raise ConfigurationError(
-            "resume_journal keeps appending to its own journal; "
-            "wal_path cannot redirect it"
+            "profiling requires the thread executor: cProfile sessions "
+            "cannot be merged across worker processes"
         )
     if shutdown is None:
         shutdown = ShutdownSignal()
 
-    carried: dict[int, ShardRunRecord] = {}
     journal: ShardJournal | None = None
-    replay = None
-    if resume_from is None and resume_journal is None and scale is None:
-        raise ConfigurationError(
-            "scale is required unless resuming from a manifest or journal"
-        )
-    if resume_from is not None:
-        scale = resume_from.scale
-        shard_size = resume_from.shard_size
-        seed = resume_from.seed
-        ecosystem = resume_from.ecosystem
-        tool_families = resume_from.tool_families
-        carried = {
-            record.index: record
-            for record in resume_from.records
-            if record.completed
-        }
-    if resume_journal is not None:
-        journal, replay = ShardJournal.resume(resume_journal)
+    replay: JournalReplay | None = None
+    if scale is None:
+        if wal_path is None:
+            raise ConfigurationError(
+                "scale is required unless continuing a journal (wal_path)"
+            )
+        journal, replay = open_journal(wal_path)
         header = replay.header
-        scale = header.scale
-        shard_size = header.shard_size
-        seed = header.seed
-        ecosystem = header.ecosystem
-        tool_families = header.tool_families
+        scale, shard_size, seed = header.scale, header.shard_size, header.seed
+        ecosystem, tool_families = header.ecosystem, header.tool_families
     profile = get_ecosystem(ecosystem)
     families = (
         tuple(tool_families)
@@ -686,17 +589,8 @@ def run_sharded_campaign(
     plan = plan_shards(
         scale=scale, shard_size=shard_size, seed=seed, ecosystem=ecosystem
     )
-
-    if store is None:
-        store = ArtifactStore(cache_dir=cache_dir, obs=obs)
-    elif obs is not None:
-        store.obs = obs
+    store = ArtifactStore(cache_dir=cache_dir, obs=obs)
     obs = store.obs
-    if executor == "process" and obs.profiler is not None:
-        raise ConfigurationError(
-            "profiling requires the thread executor: cProfile sessions "
-            "cannot be merged across worker processes"
-        )
 
     parent_fault = (
         faults.for_experiment(PARENT_FAULT_ID) if faults is not None else None
@@ -711,17 +605,8 @@ def run_sharded_campaign(
         ],
         ecosystem=ecosystem,
     )
-    if replay is not None and (
-        tuple(replay.header.tool_names) != accumulator.tool_names
-    ):
-        journal.close()
-        raise ConfigurationError(
-            f"journal {resume_journal} was written for tools "
-            f"{list(replay.header.tool_names)}; this campaign scores "
-            f"{list(accumulator.tool_names)}"
-        )
     if journal is None and wal_path is not None:
-        journal = ShardJournal.create(
+        journal, replay = open_journal(
             wal_path,
             JournalHeader(
                 seed=seed,
@@ -732,18 +617,25 @@ def run_sharded_campaign(
                 tool_families=families,
             ),
         )
+    if replay is not None and (
+        tuple(replay.header.tool_names) != accumulator.tool_names
+    ):
+        journal.close()
+        raise ConfigurationError(
+            f"journal {wal_path} was written for tools "
+            f"{list(replay.header.tool_names)}; this campaign scores "
+            f"{list(accumulator.tool_names)}"
+        )
     sink = _FoldSink(accumulator, journal, obs, shutdown, parent_fault)
-    if resume_from is not None:
-        for record in carried.values():
-            sink.fold_carried(record.cells, append=True)
-    elif replay is not None:
+    carried: dict[int, ShardRunRecord] = {}
+    if replay is not None:
         for array in replay.arrays:
             cells = ShardCells.from_array(
                 array, replay.header.tool_names, ecosystem=ecosystem
             )
             if cells.shard_index in accumulator:
                 continue  # replay dedupes, but stay idempotent regardless
-            sink.fold_carried(cells)
+            accumulator.fold(cells)  # already on disk: not journaled again
             carried[cells.shard_index] = ShardRunRecord(
                 index=cells.shard_index,
                 seed=plan.spec(cells.shard_index).seed,
@@ -751,6 +643,7 @@ def run_sharded_campaign(
                 status="completed",
                 cells=cells,
             )
+        obs.metrics.inc("engine.shards.carried", len(carried))
     pending = [
         index for index in range(plan.n_shards) if index not in carried
     ]
@@ -796,9 +689,7 @@ def run_sharded_campaign(
         extra["wal"] = str(journal.path)
     if obs.tracer.enabled:
         extra["observability"] = {"spans": obs.tracer.summary()}
-    if resume_from is not None:
-        extra["resume"] = {"carried": sorted(carried)}
-    elif replay is not None:
+    if replay is not None:
         extra["resume"] = {"carried": sorted(carried), "source": "wal"}
     if shutdown.requested:
         extra["interrupted"] = {
@@ -823,7 +714,7 @@ def run_sharded_campaign(
         extra=extra,
     )
     totals = accumulator.result() if accumulator.folded else None
-    return ShardedCampaignRun(totals=totals, manifest=manifest, store=store)
+    return ShardedCampaignRun(totals=totals, manifest=manifest)
 
 
 class _ShardRun(TaskRun):

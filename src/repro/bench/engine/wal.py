@@ -1,20 +1,20 @@
 """Write-ahead checkpoint journal for sharded campaigns.
 
-A million-unit campaign folds shards for minutes; before this module, a
-parent crash (OOM kill, ``kill -9``, power loss) lost every folded shard
-because ``--resume`` needs a fully written JSON manifest, which only
-exists once the run *ends*.  The journal closes that window: the runner
-appends one fsync'd record per folded shard as it folds, so the crash
-loses at most the shard that was mid-append — and the shard seeds are
-pure functions of their indices, so replay + re-run is bit-identical to
-an uninterrupted run (architecture invariant 8).
+A million-unit campaign folds shards for minutes, and its JSON manifest
+only exists once the run *ends*, so a parent crash (OOM kill, ``kill
+-9``, power loss) would lose every folded shard.  The journal closes that
+window: the runner appends one fsync'd record per folded shard as it
+folds, so the crash loses at most the shard that was mid-append — and the
+shard seeds are pure functions of their indices, so replay + re-run is
+bit-identical to an uninterrupted run (architecture invariant 8).  It is
+the sharded rail's only resume input.
 
 Format (``repro/shard-wal@1``) — append-only binary, designed so a torn
 tail (the one failure mode an fsync'd appender has) is detected and
 discarded rather than misparsed:
 
-- 6-byte magic ``RWAL1\\n`` (also how the CLI's ``--resume`` sniffing
-  distinguishes a journal from a JSON manifest);
+- 6-byte magic ``RWAL1\\n`` (how ``--resume`` tells a journal from a
+  JSON manifest, and :func:`open_journal` a journal from any other file);
 - records of ``<u32 payload length> <u32 crc32> <u8 type> <payload>``
   (little-endian), where the crc covers the type byte plus the payload;
 - record type 1 — a JSON **header** carrying the campaign identity
@@ -28,9 +28,14 @@ Replay (:func:`replay_journal`) walks records until the first short,
 crc-mismatched, or unknown record and treats everything from there as the
 torn tail; duplicate shard indices keep the first record (a crash between
 fold and append can make the *re-run* shard's record a duplicate, and
-first-wins keeps replay idempotent).  :meth:`ShardJournal.resume`
-truncates the file back to the valid prefix before appending, so one
-journal survives any number of crash/resume cycles.
+first-wins keeps replay idempotent).
+
+:func:`open_journal` is the runner's one entry point: a path that holds
+no journal (missing, empty, or torn before its header finished) gets a
+fresh one, and a path that holds one is continued under the plan its
+header records — replayed once, truncated back to the valid prefix, and
+appended to, so one journal survives any number of crash/resume cycles.
+Any other file is refused untouched, as is a journal of another plan.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PersistError
 from repro.persist import WAL_MAGIC, WAL_SCHEMA
+from repro.workload.ecosystems import get_ecosystem
 
 __all__ = [
     "WAL_MAGIC",
@@ -55,6 +61,7 @@ __all__ = [
     "JournalReplay",
     "ShardJournal",
     "is_journal",
+    "open_journal",
     "replay_journal",
 ]
 
@@ -63,6 +70,9 @@ _RECORD = struct.Struct("<IIB")
 
 _HEADER_RECORD = 1
 _CELLS_RECORD = 2
+
+#: The fields of :attr:`JournalHeader.plan`, for naming a mismatch.
+_PLAN_FIELDS = ("scale", "shard_size", "seed", "ecosystem", "tool_families")
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,18 @@ class JournalHeader:
     ecosystem: str
     tool_names: tuple[str, ...]
     tool_families: tuple[str, ...] | None = None
+
+    @property
+    def plan(self) -> tuple:
+        """``(scale, shard_size, seed, ecosystem, tool_families)``, with
+        unset families resolved to the ecosystem's own list."""
+        families = self.tool_families
+        if families is None:
+            families = get_ecosystem(self.ecosystem).tool_families
+        return (
+            self.scale, self.shard_size, self.seed, self.ecosystem,
+            tuple(families),
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize for the journal's header record."""
@@ -255,24 +277,17 @@ class ShardJournal:
         return cls(path, handle, header)
 
     @classmethod
-    def resume(cls, path: str | Path) -> tuple["ShardJournal", JournalReplay]:
+    def resume(cls, path: str | Path, replay: JournalReplay) -> "ShardJournal":
         """Reopen a journal for appending, discarding any torn tail.
 
-        Returns the journal plus the replay of its valid prefix; the
-        caller folds the replayed cells and re-runs only missing shards.
+        ``replay`` is the journal's replay (:func:`replay_journal`), so the
+        file is read once; the caller folds its cells and re-runs only the
+        missing shards.
         """
-        path = Path(path)
-        replay = replay_journal(path)
-        if replay.header is None:
-            raise PersistError(
-                f"journal {path} has no intact header record — it cannot "
-                "identify its campaign; start over without --resume",
-                path=str(path),
-            )
         handle = open(path, "r+b")
         handle.truncate(replay.valid_bytes)
         handle.seek(replay.valid_bytes)
-        return cls(path, handle, replay.header), replay
+        return cls(Path(path), handle, replay.header)
 
     def append_cells(self, flat: np.ndarray) -> None:
         """Durably append one folded shard's flat int64 cells vector."""
@@ -285,3 +300,60 @@ class ShardJournal:
         """Close the file handle (appends are already durable)."""
         if not self._handle.closed:
             self._handle.close()
+
+
+def open_journal(
+    path: str | Path, header: JournalHeader | None = None
+) -> tuple[ShardJournal, JournalReplay | None]:
+    """Create or continue the shard journal at ``path``.
+
+    ``header`` is the campaign the caller plans to run, or ``None`` to
+    continue whatever campaign the journal records.  Returns the journal,
+    open for appending, and the replay of what it already held (``None``
+    when it was created).
+
+    - Nothing to continue — no file, an empty one, or one torn before its
+      header record finished — creates a fresh journal; that needs
+      ``header`` (:class:`~repro.errors.PersistError` without it).
+    - An intact journal is continued.  With ``header``, its plan must
+      equal the header's (:class:`~repro.errors.ConfigurationError`
+      naming the field otherwise, the file left byte-identical).
+    - Any other file is refused untouched
+      (:class:`~repro.errors.PersistError`).
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(WAL_MAGIC))
+    except FileNotFoundError:
+        head = b""
+    except OSError as error:
+        raise PersistError(
+            f"cannot read journal {path}: {error}", path=str(path)
+        ) from error
+    if not WAL_MAGIC.startswith(head):
+        raise PersistError(
+            f"{path} is not a shard journal; refusing to overwrite it",
+            path=str(path),
+        )
+    replay = replay_journal(path) if head == WAL_MAGIC else None
+    if replay is None or replay.header is None:
+        if header is None:
+            raise PersistError(
+                f"journal {path} has no intact header record — it cannot "
+                "identify its campaign; start over without --resume",
+                path=str(path),
+            )
+        return ShardJournal.create(path, header), None
+    if header is not None and replay.header.plan != header.plan:
+        name, found, wanted = next(
+            field
+            for field in zip(_PLAN_FIELDS, replay.header.plan, header.plan)
+            if field[1] != field[2]
+        )
+        raise ConfigurationError(
+            f"journal {path} records {name}={found!r}, not {wanted!r}; "
+            "continue it under its own plan or journal this campaign "
+            "elsewhere"
+        )
+    return ShardJournal.resume(path, replay), replay

@@ -16,7 +16,7 @@ Usage::
     python -m repro run --scale 5000 --ecosystem npm-deps   # another ecosystem
     python -m repro run --scale 5000 --ecosystem all        # every ecosystem
     python -m repro run --scale 1000000 --wal run.wal  # crash-safe journal
-    python -m repro run --resume run.wal  # replay journal, run the rest
+    python -m repro run --resume run.wal  # continue the journal's campaign
     python -m repro run --list-ecosystems  # print the registries
     python -m repro stats m.json          # print a metrics dump as tables
     python -m repro stats --cache-dir .cache  # quarantined-cache summary
@@ -36,14 +36,17 @@ MANIFEST`` re-executes only the non-completed experiments of a prior run.
 
 Scale: ``--scale N`` switches ``run`` into sharded streaming-campaign mode
 — an ecosystem's tool suite is evaluated over an N-unit corpus partitioned
-into ``--shard-size`` shards, with per-shard retry/keep-going/resume
-semantics and memory bounded by the shard size (see ``docs/scaling.md``).
-``--resume`` detects shard manifests and write-ahead journals by their
-schema tag/magic, so the same flag resumes every kind of run.
+into ``--shard-size`` shards, with per-shard retry/keep-going semantics
+and memory bounded by the shard size (see ``docs/scaling.md``).  A
+sharded run resumes from its write-ahead journal only: ``--resume FILE``
+takes the sharded rail when FILE starts with the journal magic, and a
+shard-run manifest is refused with a one-line pointer to ``--wal``.
 
 Crash safety: ``--wal FILE`` journals every folded shard durably, so even
 a ``kill -9`` of the campaign parent resumes bit-identically from the
-journal; SIGTERM/SIGINT drain in-flight shards and still write the
+journal — with ``--resume FILE``, or by running the same command again,
+which continues a journal of the same plan and refuses any other file;
+SIGTERM/SIGINT drain in-flight shards and still write the
 partial ``--manifest``; ``--timeout`` on ``--scale`` runs gives each
 shard attempt a deadline, counted from its submission, and terminates
 the worker of an attempt that runs past it; and dead workers are
@@ -261,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         type=Path,
         default=None,
-        metavar="MANIFEST",
+        metavar="FILE",
         help=(
             "re-execute only the non-completed experiments of a prior run's "
-            "--manifest file (or the missing shards of a --wal journal); "
-            "seed is taken from the manifest, completed records are carried "
+            "--manifest file, or run the missing shards of a --wal journal; "
+            "seed and plan are taken from FILE, completed work is carried "
             "over verbatim"
         ),
     )
@@ -277,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "for --scale runs: append every folded shard to an fsync'd "
             "write-ahead journal at FILE, so a crashed (even kill -9'd) "
-            "campaign resumes bit-identically with --resume FILE"
+            "campaign resumes bit-identically with --resume FILE; a journal "
+            "of the same plan already at FILE is continued"
         ),
     )
     run_parser.add_argument(
@@ -472,7 +476,16 @@ def _cmd_run(
     if resume_path is not None:
         if not resume_path.exists():
             raise SystemExit(f"no such manifest: {resume_path}")
-        resume_from = RunManifest.from_dict(load_json(resume_path))
+        payload = load_json(resume_path)
+        if str(payload.get("schema")).startswith("repro/shard-run@"):
+            raise SystemExit(
+                f"run aborted — {resume_path} is a shard-run manifest; a "
+                "sharded run resumes from its --wal journal"
+            )
+        try:
+            resume_from = RunManifest.from_dict(payload)
+        except ConfigurationError as error:
+            raise SystemExit(f"run aborted — {error}") from error
         ids = resume_from.experiment_ids
     faults = (
         FaultPlan(tuple(parse_fault(spec) for spec in inject_faults))
@@ -589,34 +602,23 @@ def _cmd_run_scale(
     metrics_path: Path | None,
     keep_going: bool,
     retries: int,
-    resume_path: Path | None,
     inject_faults: list[str] | None,
     ecosystem: str | None = None,
     tool_families: list[str] | None = None,
     timeout: float | None = None,
     wal_path: Path | None = None,
 ) -> int:
+    # ``scale=None`` continues the journal at ``wal_path`` under its own plan.
     from repro.bench.engine.faults import FaultPlan, parse_fault
-    from repro.bench.engine.shards import ShardRunManifest, run_sharded_campaign
+    from repro.bench.engine.shards import run_sharded_campaign
     from repro.bench.engine.supervise import graceful_shutdown
-    from repro.bench.engine.wal import is_journal
     from repro.errors import ConfigurationError, EngineError, PersistError
     from repro.obs import Observability, Tracer
-    from repro.persist import load_json
     from repro.reporting.tables import format_table
 
     if jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-    resume_from = None
-    resume_journal = None
-    if resume_path is not None:
-        if not resume_path.exists():
-            raise SystemExit(f"no such manifest: {resume_path}")
-        if is_journal(resume_path):
-            resume_journal = str(resume_path)
-        else:
-            resume_from = ShardRunManifest.from_dict(load_json(resume_path))
-    elif scale is None or scale < 1:
+    if scale is not None and scale < 1:
         raise SystemExit(f"--scale must be >= 1, got {scale}")
     if shard_size < 1:
         raise SystemExit(f"--shard-size must be >= 1, got {shard_size}")
@@ -641,8 +643,6 @@ def _cmd_run_scale(
                 cache_dir=str(cache_dir) if cache_dir is not None else None,
                 obs=obs,
                 faults=faults,
-                resume_from=resume_from,
-                resume_journal=resume_journal,
                 wal_path=str(wal_path) if wal_path is not None else None,
                 timeout=timeout,
                 shutdown=shutdown,
@@ -671,8 +671,9 @@ def _cmd_run_scale(
         )
     if run.interrupted:
         info = run.manifest.extra["interrupted"]
-        resume_hint = wal_path if wal_path is not None else manifest_path
-        hint = f"; resume with --resume {resume_hint}" if resume_hint else ""
+        hint = (
+            f"; resume with --resume {wal_path}" if wal_path is not None else ""
+        )
         print(
             f"[interrupted ({info['reason']}): "
             f"{len(info['unfinished'])} shards unfinished{hint}]",
@@ -751,7 +752,7 @@ def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
             raise SystemExit("--ecosystem requires --scale")
         if args.resume is not None:
             raise SystemExit(
-                "--resume restores the manifest's own ecosystem; don't "
+                "--resume restores the journal's own ecosystem; don't "
                 "pass --ecosystem alongside it"
             )
         if args.ecosystem != "all":
@@ -903,25 +904,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_ecosystems:
         return _cmd_list_ecosystems()
     _validate_ecosystem_args(args)
-    resume_schema = None
-    if args.resume is not None and args.resume.exists():
-        from repro.persist import sniff_schema
+    journal = None
+    if args.resume is not None:
+        from repro.bench.engine.wal import is_journal
 
-        resume_schema = sniff_schema(args.resume)
-    sharded = args.scale is not None or (resume_schema or "").startswith(
-        "repro/shard-"
-    )
-    if sharded:
+        journal = args.resume if is_journal(args.resume) else None
+    if args.scale is not None or journal is not None:
         if args.experiments:
             raise SystemExit(
                 "--scale runs a sharded campaign, not experiments; don't "
                 "pass experiment ids alongside it"
             )
-        if args.scale is not None and args.resume is not None:
-            raise SystemExit(
-                "--resume re-runs the shard manifest's own plan; don't "
-                "pass --scale alongside it"
-            )
+        if args.resume is not None:
+            for flag, value in (
+                ("--scale", args.scale), ("--shard-size", args.shard_size)
+            ):
+                if value is not None:
+                    raise SystemExit(
+                        "--resume continues the journal's own plan; don't "
+                        f"pass {flag} alongside it"
+                    )
         if args.out is not None:
             raise SystemExit("--out applies to experiment runs, not --scale")
         if args.profile is not None:
@@ -933,9 +935,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--ecosystem all runs several campaigns; --wal would "
                 "interleave them in one journal — pick a single ecosystem"
             )
-        from repro.persist import WAL_SCHEMA
-
-        if args.wal is not None and resume_schema == WAL_SCHEMA:
+        if args.wal is not None and journal is not None:
             raise SystemExit(
                 "--resume JOURNAL already appends the remaining shards to "
                 "that journal; don't pass --wal alongside it"
@@ -964,7 +964,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     None,
                     args.keep_going,
                     args.retries,
-                    None,
                     args.inject_faults,
                     ecosystem=name,
                     tool_families=args.tool_families,
@@ -985,12 +984,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.metrics_out,
             args.keep_going,
             args.retries,
-            args.resume,
             args.inject_faults,
             ecosystem=args.ecosystem,
             tool_families=args.tool_families,
             timeout=args.timeout,
-            wal_path=args.wal,
+            wal_path=journal if journal is not None else args.wal,
         )
     if args.shard_size is not None:
         raise SystemExit("--shard-size requires --scale")

@@ -35,7 +35,6 @@ from repro.bench.campaign import TAXONOMY, CampaignResult, tool_result
 from repro.bench.result import ExperimentResult
 from repro.bench.streaming import ShardCells, StreamingCampaignResult
 from repro.errors import ArtifactCorruptError, ConfigurationError, PersistError
-from repro.metrics.confusion import ConfusionMatrix
 from repro.tools.base import Detection, DetectionReport
 from repro.workload.code_model import CodeUnit, SinkSite, Statement, StatementKind
 from repro.workload.generator import SiteProfile, Workload, WorkloadConfig
@@ -54,13 +53,11 @@ __all__ = [
     "shard_cells_to_dict",
     "shard_cells_from_dict",
     "streaming_totals_to_dict",
-    "streaming_totals_from_dict",
     "save_json",
     "load_json",
     "payload_digest",
     "save_cache_entry",
     "load_cache_entry",
-    "sniff_schema",
     "CACHE_ENTRY_SCHEMA",
     "WAL_MAGIC",
     "WAL_SCHEMA",
@@ -68,15 +65,15 @@ __all__ = [
     "SERVE_RESULT_SCHEMA",
 ]
 
-#: The shard write-ahead journal's file magic and schema tag.  They live
-#: here (not in :mod:`repro.bench.engine.wal`) so low-level schema
-#: sniffing never has to import engine code.
+#: The shard write-ahead journal's file magic and schema tag, next to the
+#: other persisted formats' tags (:mod:`repro.bench.engine.wal` reads and
+#: writes the journal).
 WAL_MAGIC = b"RWAL1\n"
 WAL_SCHEMA = "repro/shard-wal@1"
 
 #: The campaign service's persisted job records and result payloads
 #: (:mod:`repro.serve`).  Like :data:`WAL_SCHEMA`, the tags live here so
-#: schema sniffing and tooling never import service code.
+#: tooling never imports service code to read them.
 SERVE_JOB_SCHEMA = "repro/serve-job@1"
 SERVE_RESULT_SCHEMA = "repro/serve-result@1"
 
@@ -458,28 +455,6 @@ def streaming_totals_to_dict(totals: StreamingCampaignResult) -> dict[str, Any]:
     }
 
 
-def streaming_totals_from_dict(payload: dict[str, Any]) -> StreamingCampaignResult:
-    """Rebuild streaming totals written by :func:`streaming_totals_to_dict`."""
-    _require_schema(payload, SERVE_RESULT_SCHEMA)
-    return StreamingCampaignResult(
-        tool_names=tuple(payload["tool_names"]),
-        confusions=tuple(
-            ConfusionMatrix(
-                tp=float(cm["tp"]),
-                fp=float(cm["fp"]),
-                fn=float(cm["fn"]),
-                tn=float(cm["tn"]),
-            )
-            for cm in payload["cells"]
-        ),
-        n_units=payload["n_units"],
-        n_sites=payload["n_sites"],
-        n_vulnerable=payload["n_vulnerable"],
-        shard_indices=tuple(payload["shard_indices"]),
-        ecosystem=payload.get("ecosystem", "web-services"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
@@ -528,31 +503,6 @@ def load_json(path: str | Path) -> dict[str, Any]:
         raise PersistError(
             f"corrupt JSON in {path}: {error}", path=str(path)
         ) from error
-
-
-def sniff_schema(path: str | Path) -> str | None:
-    """Best-effort schema tag of a persisted file, without full parsing.
-
-    The CLI's ``--resume`` accepts both JSON manifests and the binary
-    shard journal; this answers "which kind is it" from the first bytes
-    (:data:`WAL_MAGIC`) or the JSON ``schema`` key, returning ``None``
-    for unreadable/untagged files so callers fall back to their default
-    interpretation.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(WAL_MAGIC))
-    except OSError:
-        return None
-    if head == WAL_MAGIC:
-        return WAL_SCHEMA
-    try:
-        payload = load_json(path)
-    except PersistError:
-        return None
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    return schema if isinstance(schema, str) else None
 
 
 # ---------------------------------------------------------------------------

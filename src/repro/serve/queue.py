@@ -367,9 +367,9 @@ class JobQueue:
 
         Returns the re-enqueued records (``queued`` and interrupted
         ``running`` jobs) in submission order.  A ``running`` record is
-        reset to ``queued``; whether its next dispatch resumes from a
-        journal or starts fresh is the service's call
-        (:meth:`~repro.serve.service.CampaignService.start`).  Unreadable
+        reset to ``queued``; whether its next dispatch continues a
+        journal or starts fresh is decided by what its journal path holds
+        (:func:`~repro.bench.engine.wal.open_journal`).  Unreadable
         records are skipped with a counter bump rather than blocking
         startup — the atomic-write discipline makes them unexpected.
         """

@@ -10,12 +10,12 @@ call, always under its own write-ahead journal.
 
 Crash recovery (architecture invariant 9) is a composition, not new
 machinery: on :meth:`CampaignService.start` the queue reloads every
-persisted job record, unfinished jobs re-enqueue, and a re-dispatched job
-whose journal survived resumes through ``resume_journal`` — the PR 9
-replay path whose totals are bit-identical to an uninterrupted run
-(invariant 8).  A journal too torn to even carry its header is deleted
-and the job simply starts over; either way the finished totals are the
-same bytes.
+persisted job record, unfinished jobs re-enqueue, and every dispatch
+passes the job's full spec plus its journal path as ``wal_path`` — the
+engine continues a journal that survived (the replay path whose totals
+are bit-identical to an uninterrupted run, invariant 8) and creates one
+where none did, or where it tore before its header finished; either way
+the finished totals are the same bytes.
 
 Graceful shutdown mirrors the CLI: :meth:`CampaignService.stop` requests
 a drain through each running job's
@@ -36,7 +36,6 @@ from typing import Any
 from repro.bench.engine.runner import check_policy
 from repro.bench.engine.shards import run_sharded_campaign
 from repro.bench.engine.supervise import ShutdownSignal
-from repro.bench.engine.wal import is_journal, replay_journal
 from repro.errors import ReproError, ServeError
 from repro.obs import Observability
 from repro.persist import streaming_totals_to_dict
@@ -166,9 +165,13 @@ class CampaignService:
             running = self._running.get(record.job_id)
         if running is None:
             return 0
-        completed = running.base_shards + running.obs.metrics.counter(
-            "engine.shards.completed"
-        ).value
+        # Journal replay counts as progress: a resumed job starts from
+        # the shards it carried, not from zero.
+        metrics = running.obs.metrics
+        completed = (
+            metrics.counter("engine.shards.carried").value
+            + metrics.counter("engine.shards.completed").value
+        )
         return min(completed, record.spec.planned_shards)
 
     def result(self, job_id: str) -> dict[str, Any]:
@@ -230,20 +233,11 @@ class CampaignService:
         record = job.record
         spec = record.spec
         wal = self.queue.wal_path(record.job_id)
-        resume = wal.exists() and is_journal(wal)
-        if resume:
-            # Shard-level progress restarts from the journal's replay
-            # count; the per-job counter only sees freshly run shards.
-            job.base_shards = len(replay_journal(wal).arrays)
-            self.obs.metrics.inc("serve.jobs.resumed")
-        elif wal.exists():
-            # Torn before the header finished — nothing replayable.
-            wal.unlink()
         with self.obs.tracer.span(
             "serve.job", job=record.job_id, tenant=record.tenant
         ):
             run = run_sharded_campaign(
-                scale=None if resume else spec.scale,
+                scale=spec.scale,
                 shard_size=spec.shard_size,
                 seed=spec.seed,
                 ecosystem=spec.ecosystem,
@@ -253,10 +247,11 @@ class CampaignService:
                 keep_going=True,
                 cache_dir=str(self.cache_dir),
                 obs=job.obs,
-                wal_path=None if resume else str(wal),
-                resume_journal=str(wal) if resume else None,
+                wal_path=str(wal),
                 shutdown=job.shutdown,
             )
+        if "resume" in run.manifest.extra:
+            self.obs.metrics.inc("serve.jobs.resumed")
         self.obs.metrics.merge_dict(job.obs.metrics.to_dict())
         if run.interrupted or job.shutdown.requested:
             # Drained, not done: leave the record running and the journal
@@ -294,5 +289,3 @@ class _RunningJob:
     record: JobRecord
     obs: Observability = field(default_factory=Observability)
     shutdown: ShutdownSignal = field(default_factory=ShutdownSignal)
-    base_shards: int = 0
-    """Shards already folded by journal replay before this dispatch."""

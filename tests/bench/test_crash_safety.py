@@ -11,6 +11,7 @@ so the signal handling and journal flushing are exercised end to end.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -35,6 +36,7 @@ from repro.errors import (
     ConfigurationError,
     EngineError,
     ExperimentTimeoutError,
+    PersistError,
     WorkerCrashError,
 )
 from repro.obs import Observability
@@ -168,7 +170,7 @@ class TestWalCheckpointing:
         )
         tear_file(wal, n_bytes=16)  # the parent died mid-append
 
-        resumed = run_sharded_campaign(resume_journal=str(wal))
+        resumed = run_sharded_campaign(wal_path=str(wal))
         assert resumed.ok
         assert resumed.manifest.extra["resume"] == {
             "carried": [0, 1, 2],
@@ -184,7 +186,7 @@ class TestWalCheckpointing:
         run_sharded_campaign(
             scale=400, shard_size=100, seed=SEED, wal_path=str(wal)
         )
-        resumed = run_sharded_campaign(resume_journal=str(wal))
+        resumed = run_sharded_campaign(wal_path=str(wal))
         assert resumed.ok
         assert resumed.manifest.extra["resume"]["carried"] == [0, 1, 2, 3]
         assert_parity(resumed, reference_400)
@@ -199,22 +201,54 @@ class TestWalCheckpointing:
             ),
         ).close()
         with pytest.raises(ConfigurationError, match="tool"):
-            run_sharded_campaign(resume_journal=str(wal))
+            run_sharded_campaign(wal_path=str(wal))
 
-    def test_journal_resume_excludes_other_resume_modes(self, tmp_path):
+    def test_same_command_twice_continues_the_journal(
+        self, tmp_path, reference_400
+    ):
+        wal = tmp_path / "run.wal"
+        obs = Observability()
+        for run_obs in (Observability(), obs):
+            run = run_sharded_campaign(
+                scale=400, shard_size=100, seed=SEED, wal_path=str(wal),
+                obs=run_obs,
+            )
+        assert run.ok
+        assert run.manifest.extra["resume"] == {
+            "carried": [0, 1, 2, 3],
+            "source": "wal",
+        }
+        assert_parity(run, reference_400)
+        counters = obs.metrics.counter_values("engine.shards.")
+        assert counters["engine.shards.carried"] == 4
+        assert counters.get("engine.shards.completed", 0) == 0
+        final = replay_journal(wal)
+        assert sorted(final.shard_indices) == [0, 1, 2, 3]
+        assert final.duplicates == 0
+
+    def test_journal_of_another_plan_is_refused_untouched(self, tmp_path):
         wal = tmp_path / "run.wal"
         run_sharded_campaign(
             scale=400, shard_size=100, seed=SEED, wal_path=str(wal)
         )
-        with pytest.raises(ConfigurationError):
+        tear_file(wal, n_bytes=16)
+        before = wal.read_bytes()
+        with pytest.raises(ConfigurationError, match="records seed=2015"):
             run_sharded_campaign(
-                resume_journal=str(wal), wal_path=str(tmp_path / "other.wal")
+                scale=400, shard_size=100, seed=SEED + 1, wal_path=str(wal)
             )
-        prior = run_sharded_campaign(scale=400, shard_size=100, seed=SEED)
-        with pytest.raises(ConfigurationError):
+        assert wal.read_bytes() == before
+
+    def test_non_journal_file_is_refused_untouched(self, tmp_path):
+        notes = tmp_path / "notes.json"
+        run = run_sharded_campaign(scale=200, shard_size=100, seed=SEED)
+        notes.write_text(json.dumps(run.manifest.to_dict()))
+        before = notes.read_bytes()
+        with pytest.raises(PersistError, match="not a shard journal"):
             run_sharded_campaign(
-                resume_journal=str(wal), resume_from=prior.manifest
+                scale=200, shard_size=100, seed=SEED, wal_path=str(notes)
             )
+        assert notes.read_bytes() == before
 
 
 class TestGracefulShutdown:
@@ -240,7 +274,7 @@ class TestGracefulShutdown:
         assert not run.manifest.ok
 
         resumed = run_sharded_campaign(
-            resume_journal=str(wal), jobs=jobs, executor=executor
+            wal_path=str(wal), jobs=jobs, executor=executor
         )
         assert resumed.ok
         assert not resumed.interrupted
@@ -393,14 +427,17 @@ class TestShardDeadline:
         assert all(window == 2 for *_, window in rebuilt)
         assert len(evictions) == 1
 
-    def test_timed_out_shard_resumes_bit_identically(self, reference_400):
+    def test_timed_out_shard_resumes_bit_identically(
+        self, tmp_path, reference_400
+    ):
+        wal = tmp_path / "hung.wal"
         run = run_sharded_campaign(
             scale=400, shard_size=100, seed=SEED,
             jobs=2, keep_going=True, timeout=0.75,
-            faults=hang_faults(3.0, 1),
+            faults=hang_faults(3.0, 1), wal_path=str(wal),
         )
         assert run.manifest.record_for(1).status == "timeout"
-        resumed = run_sharded_campaign(resume_from=run.manifest)
+        resumed = run_sharded_campaign(wal_path=str(wal))
         assert resumed.ok
         assert resumed.manifest.extra["resume"]["carried"] == [0, 2, 3]
         assert_parity(resumed, reference_400)
@@ -485,7 +522,7 @@ class TestCrashRecoveryEndToEnd:
         replay = replay_journal(wal)
         assert len(replay.arrays) == 2, "exactly the pre-kill folds persist"
 
-        resumed = run_sharded_campaign(resume_journal=str(wal))
+        resumed = run_sharded_campaign(wal_path=str(wal))
         assert resumed.ok
         assert resumed.manifest.extra["resume"]["source"] == "wal"
         assert_parity(resumed, reference_400)
@@ -518,7 +555,7 @@ class TestCrashRecoveryEndToEnd:
         assert "interrupted" in stderr
         assert manifest.exists(), "drain must still write the manifest"
 
-        resumed = run_sharded_campaign(resume_journal=str(wal))
+        resumed = run_sharded_campaign(wal_path=str(wal))
         assert resumed.ok
         assert_parity(resumed, reference_1600)
         carried = resumed.manifest.extra["resume"]["carried"]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.engine.shards import ShardRunManifest, run_sharded_campaign
+from repro.bench.engine.shards import run_sharded_campaign
 from repro.bench.experiments import r20_ecosystems
 from repro.bench.streaming import CampaignAccumulator, ShardCells, evaluate_shard
 from repro.errors import ConfigurationError
@@ -73,6 +73,7 @@ class TestShardedEcosystemRuns:
         assert explicit.totals.confusions == implicit.totals.confusions
         assert explicit.totals.tool_names == implicit.totals.tool_names
         assert implicit.totals.ecosystem == DEFAULT_ECOSYSTEM
+        assert implicit.manifest.to_dict()["ecosystem"] == DEFAULT_ECOSYSTEM
 
     def test_non_default_run_uses_the_profile_suite(self):
         run = run_sharded_campaign(
@@ -115,22 +116,22 @@ class TestShardedEcosystemRuns:
         )
         assert thread.totals.confusions == process.totals.confusions
 
-    def test_resume_restores_the_ecosystem(self):
-        first = run_sharded_campaign(
-            scale=40, shard_size=20, seed=7, ecosystem="android"
-        )
-        manifest = ShardRunManifest.from_dict(first.manifest.to_dict())
-        assert manifest.ecosystem == "android"
-        resumed = run_sharded_campaign(resume_from=manifest)
-        assert resumed.totals.ecosystem == "android"
-        assert resumed.totals.confusions == first.totals.confusions
+    def test_resume_restores_the_ecosystem(self, tmp_path):
+        from repro.bench.engine.faults import tear_file
 
-    def test_manifest_dict_omits_families_when_default(self):
-        run = run_sharded_campaign(scale=40, shard_size=20, seed=7)
-        payload = run.manifest.to_dict()
-        assert payload["ecosystem"] == DEFAULT_ECOSYSTEM
-        clone = ShardRunManifest.from_dict(payload)
-        assert clone == run.manifest
+        wal = str(tmp_path / "android.wal")
+        first = run_sharded_campaign(
+            scale=60, shard_size=20, seed=7, ecosystem="android",
+            tool_families=("sa", "dast"), wal_path=wal,
+        )
+        tear_file(wal, n_bytes=16)  # lose the last shard's record
+        resumed = run_sharded_campaign(wal_path=wal)
+        assert resumed.manifest.ecosystem == "android"
+        assert resumed.manifest.tool_families == ("sa", "dast")
+        assert resumed.manifest.extra["resume"]["carried"] == [0, 1]
+        assert resumed.totals.ecosystem == "android"
+        assert resumed.totals.tool_names == first.totals.tool_names
+        assert resumed.totals.confusions == first.totals.confusions
 
 
 class TestR20Experiment:

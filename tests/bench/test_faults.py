@@ -561,16 +561,16 @@ class TestManifestFailureRoundTrip:
         assert rebuilt.record_for("R4").skip_reason == "dependency R3 failed"
         assert rebuilt.status_counts() == run.manifest.status_counts()
 
-    def test_legacy_v1_manifest_loads_as_completed(self):
+    def test_legacy_v1_manifest_is_rejected(self):
         run = run_experiments(["R1"], seed=2015)
         payload = run.manifest.to_dict()
         payload["schema"] = "repro/run-manifest@1"
-        for entry in payload["experiments"]:
-            for key in ("status", "attempts"):
-                entry.pop(key, None)
-        rebuilt = RunManifest.from_dict(payload)
-        assert rebuilt.ok
-        assert rebuilt.record_for("R1").attempts == 1
+        with pytest.raises(ConfigurationError) as excinfo:
+            RunManifest.from_dict(payload)
+        assert str(excinfo.value) == (
+            "expected schema 'repro/run-manifest@2', "
+            "found 'repro/run-manifest@1'"
+        )
 
     def test_invalid_status_rejected(self):
         run = run_experiments(["R1"], seed=2015)

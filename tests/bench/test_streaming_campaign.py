@@ -7,12 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.engine.faults import ALWAYS, FaultPlan, FaultSpec
-from repro.bench.engine.shards import (
-    SHARD_MANIFEST_SCHEMA,
-    ShardRunManifest,
-    run_sharded_campaign,
-    shard_fault_id,
-)
+from repro.bench.engine.shards import run_sharded_campaign, shard_fault_id
 from repro.bench.streaming import (
     CampaignAccumulator,
     ShardCells,
@@ -232,48 +227,54 @@ class TestShardFaultTolerance:
             scale=130, shard_size=50, seed=SEED, keep_going=True, faults=faults
         )
         assert not run.ok
-        assert run.manifest.incomplete_indices == [1]
+        assert [r.index for r in run.manifest.records if not r.completed] == [1]
         record = run.manifest.record_for(1)
         assert record.failure.error_type == "InjectedFault"
         assert run.totals.n_units == 80  # shards 0 and 2 still folded
 
-    def test_resume_refolds_carried_cells_and_matches_clean_run(self):
+    def test_resume_refolds_carried_cells_and_matches_clean_run(
+        self, tmp_path
+    ):
         reference = reference_totals(130, 50, SEED)
         faults = FaultPlan(
             (FaultSpec(experiment_id=shard_fault_id(1), fail_attempts=ALWAYS),)
         )
+        wal = str(tmp_path / "run.wal")
         partial = run_sharded_campaign(
-            scale=130, shard_size=50, seed=SEED, keep_going=True, faults=faults
+            scale=130, shard_size=50, seed=SEED, keep_going=True,
+            faults=faults, wal_path=wal,
         )
-        # Round-trip through JSON, as the CLI does.  Older manifests also
-        # record the cell transport under ``extra``; resume ignores it.
-        payload = partial.manifest.to_dict()
-        payload["extra"] = {"transport": "shm"}
-        manifest = ShardRunManifest.from_dict(payload)
-        resumed = run_sharded_campaign(resume_from=manifest)
+        resumed = run_sharded_campaign(
+            scale=130, shard_size=50, seed=SEED, wal_path=wal
+        )
         assert resumed.ok
-        assert resumed.manifest.extra["resume"] == {"carried": [0, 2]}
+        assert resumed.manifest.extra["resume"] == {
+            "carried": [0, 2],
+            "source": "wal",
+        }
         assert resumed.totals.confusions == reference.confusions
-        # Carried records keep their original wall times and attempts.
-        assert resumed.manifest.record_for(0) == manifest.record_for(0)
-
-    def test_manifest_round_trips_with_schema(self):
-        run = run_sharded_campaign(scale=60, shard_size=30, seed=SEED)
-        payload = run.manifest.to_dict()
-        assert payload["schema"] == SHARD_MANIFEST_SCHEMA
-        clone = ShardRunManifest.from_dict(payload)
-        assert clone == run.manifest
+        # Carried records fold the journaled cells verbatim.
+        for index in (0, 2):
+            assert (
+                resumed.manifest.record_for(index).cells
+                == partial.manifest.record_for(index).cells
+            )
 
     def test_cells_cache_warm_run_skips_evaluation(self, tmp_path):
+        from repro.obs import Observability
+
         cold = run_sharded_campaign(
             scale=90, shard_size=30, seed=SEED, cache_dir=str(tmp_path)
         )
+        obs = Observability()
         warm = run_sharded_campaign(
-            scale=90, shard_size=30, seed=SEED, cache_dir=str(tmp_path)
+            scale=90, shard_size=30, seed=SEED, cache_dir=str(tmp_path),
+            obs=obs,
         )
         assert cold.totals.confusions == warm.totals.confusions
-        assert warm.store.counts("shard-cells:")["disk-hit"] == 3
-        assert warm.store.counts("shard-cells:")["miss"] == 0
+        counters = obs.metrics.counter_values("engine.cache.")
+        assert counters["engine.cache.disk_hit"] == 3
+        assert counters.get("engine.cache.miss", 0) == 0
 
     def test_shard_counters_and_spans_are_recorded(self):
         from repro.obs import Observability, Tracer

@@ -2,8 +2,10 @@
 
 The crash-safety claim rests on this file format: every fold is an fsync'd
 append, and replay of any prefix — including a torn one — must recover
-exactly the folded shards.  These tests exercise the format directly;
-``tests/bench/test_crash_safety.py`` covers the runner integration.
+exactly the folded shards.  These tests exercise the format directly, and
+:func:`open_journal`'s create-or-continue decision on every kind of file
+it can find; ``tests/bench/test_crash_safety.py`` covers the runner
+integration.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from repro.bench.engine.wal import (
     JournalHeader,
     ShardJournal,
     is_journal,
+    open_journal,
     replay_journal,
 )
 from repro.errors import ConfigurationError, PersistError
-from repro.persist import WAL_MAGIC, WAL_SCHEMA, sniff_schema
+from repro.persist import WAL_MAGIC
 
 
 def make_header(**overrides) -> JournalHeader:
@@ -142,7 +145,8 @@ class TestTornTail:
         journal.close()
         tear_file(path, n_bytes=8)
 
-        resumed, replay = ShardJournal.resume(path)
+        replay = replay_journal(path)
+        resumed = ShardJournal.resume(path, replay)
         assert replay.shard_indices == [0, 1]
         resumed.append_cells(cells_vector(2))
         resumed.close()
@@ -155,12 +159,13 @@ class TestTornTail:
         path = tmp_path / "run.wal"
         ShardJournal.create(path, make_header()).close()
         path.write_bytes(path.read_bytes()[: len(WAL_MAGIC) + 4])
-        with pytest.raises(PersistError, match="no intact header"):
-            ShardJournal.resume(path)
+        with pytest.raises(PersistError, match="no intact header") as excinfo:
+            open_journal(path)
+        assert "\n" not in str(excinfo.value)
 
 
 class TestSniffing:
-    def test_is_journal_and_sniff_schema(self, tmp_path):
+    def test_is_journal_reads_the_magic(self, tmp_path):
         wal_path = tmp_path / "run.wal"
         ShardJournal.create(wal_path, make_header()).close()
         manifest_path = tmp_path / "run.json"
@@ -169,9 +174,6 @@ class TestSniffing:
         assert is_journal(wal_path)
         assert not is_journal(manifest_path)
         assert not is_journal(tmp_path / "missing.wal")
-        assert sniff_schema(wal_path) == WAL_SCHEMA
-        assert sniff_schema(manifest_path) == "repro/shard-run@2"
-        assert sniff_schema(tmp_path / "missing.wal") is None
 
     def test_not_a_journal_raises_persist_error(self, tmp_path):
         path = tmp_path / "not-a-journal"
@@ -184,3 +186,97 @@ class TestSniffing:
         payload["schema"] = "repro/shard-wal@99"
         with pytest.raises(ConfigurationError, match="journal schema"):
             JournalHeader.from_dict(payload)
+
+
+def journal_bytes(tmp_path, *indices: int) -> bytes:
+    """The bytes of a journal of ``make_header()`` holding ``indices``."""
+    path = tmp_path / "source.wal"
+    journal = ShardJournal.create(path, make_header())
+    for index in indices:
+        journal.append_cells(cells_vector(index))
+    journal.close()
+    return path.read_bytes()
+
+
+class TestOpenJournal:
+    """:func:`open_journal` creates, continues or refuses, by what it finds."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"", WAL_MAGIC[:3], "magic only", "torn header"],
+        ids=["absent", "empty", "torn-magic", "magic-only", "torn-header"],
+    )
+    def test_nothing_to_continue_is_created(self, tmp_path, content):
+        path = tmp_path / "run.wal"
+        header_end = len(journal_bytes(tmp_path))
+        if content == "magic only":
+            content = WAL_MAGIC
+        elif content == "torn header":
+            content = journal_bytes(tmp_path)[: header_end - 3]
+        if content is not None:
+            path.write_bytes(content)
+
+        journal, replay = open_journal(path, make_header())
+        journal.append_cells(cells_vector(0))
+        journal.close()
+        assert replay is None
+        final = replay_journal(path)
+        assert final.header == make_header()
+        assert final.shard_indices == [0]
+        assert not final.torn
+
+    @pytest.mark.parametrize("plan", ["recorded", "matching"])
+    def test_intact_journal_is_continued(self, tmp_path, plan):
+        path = tmp_path / "run.wal"
+        path.write_bytes(journal_bytes(tmp_path, 0, 1, 2)[:-8])  # torn tail
+        journal, replay = open_journal(
+            path, make_header() if plan == "matching" else None
+        )
+        assert replay.header == make_header()
+        assert replay.shard_indices == [0, 1]
+        journal.append_cells(cells_vector(2))
+        journal.close()
+        final = replay_journal(path)
+        assert final.shard_indices == [0, 1, 2]
+        assert not final.torn
+
+    def test_unset_families_resolve_to_the_ecosystems_own(self, tmp_path):
+        from repro.workload.ecosystems import get_ecosystem
+
+        path = tmp_path / "run.wal"
+        ShardJournal.create(path, make_header(tool_families=None)).close()
+        own = get_ecosystem("web-services").tool_families
+        journal, replay = open_journal(path, make_header(tool_families=own))
+        journal.close()
+        assert replay is not None
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("scale", 500),
+            ("shard_size", 50),
+            ("seed", 6),
+            ("ecosystem", "npm-deps"),
+            ("tool_families", ("sa",)),
+        ],
+    )
+    def test_another_plan_is_refused_byte_identical(
+        self, tmp_path, field, value
+    ):
+        path = tmp_path / "run.wal"
+        path.write_bytes(journal_bytes(tmp_path, 0, 1)[:-5])  # torn tail
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match=f"records {field}="):
+            open_journal(path, make_header(**{field: value}))
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "content", [b'{"schema": "repro/shard-run@2"}', b"RWAL2\n", b"{}"]
+    )
+    def test_any_other_file_is_refused_untouched(self, tmp_path, content):
+        path = tmp_path / "notes.json"
+        path.write_bytes(content)
+        for header in (make_header(), None):
+            with pytest.raises(PersistError, match="not a shard journal"):
+                open_journal(path, header)
+        assert path.read_bytes() == content

@@ -327,18 +327,65 @@ class TestScale:
             )
 
     def test_keep_going_then_resume_completes_the_run(self, tmp_path, capsys):
-        manifest_path = tmp_path / "shards.json"
+        wal = tmp_path / "shards.wal"
         code = main(
             ["run", "--scale", "90", "--shard-size", "30", "--quiet",
-             "--keep-going", "--inject-fault", "s1",
-             "--manifest", str(manifest_path)]
+             "--keep-going", "--inject-fault", "s1", "--wal", str(wal)]
         )
         captured = capsys.readouterr()
         assert code == 1
         assert "[shard 1 failed after 1 attempt: InjectedFault" in captured.err
-        assert main(["run", "--quiet", "--resume", str(manifest_path)]) == 0
+        assert main(["run", "--quiet", "--resume", str(wal)]) == 0
         err = capsys.readouterr().err
         assert "[90 units in 3 shards (shard_size=30)" in err
+
+    def test_resume_refuses_a_shard_manifest(self, tmp_path, capsys):
+        manifest_path = tmp_path / "shards.json"
+        main(
+            ["run", "--scale", "60", "--shard-size", "30", "--quiet",
+             "--manifest", str(manifest_path)]
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--quiet", "--resume", str(manifest_path)])
+        message = str(excinfo.value.code)
+        assert "a sharded run resumes from its --wal journal" in message
+        assert "\n" not in message
+
+    def test_resume_rejects_shard_size(self, tmp_path, capsys):
+        wal = tmp_path / "run.wal"
+        main(
+            ["run", "--scale", "60", "--shard-size", "30", "--quiet",
+             "--wal", str(wal)]
+        )
+        capsys.readouterr()
+        with pytest.raises(
+            SystemExit, match="don't pass --shard-size alongside"
+        ):
+            main(["run", "--resume", str(wal), "--shard-size", "7", "--quiet"])
+
+    def test_wal_refuses_to_overwrite_another_file(self, tmp_path):
+        notes = tmp_path / "notes.json"
+        notes.write_text('{"schema": "repro/shard-run@2"}\n')
+        before = notes.read_bytes()
+        with pytest.raises(SystemExit, match="not a shard journal"):
+            main(
+                ["run", "--scale", "60", "--shard-size", "30", "--quiet",
+                 "--wal", str(notes)]
+            )
+        assert notes.read_bytes() == before
+
+    def test_interrupted_hint_names_the_journal_in_use(self, tmp_path, capsys):
+        wal = tmp_path / "run.wal"
+        stop = ["--inject-fault", "PARENT:stop=1", "--quiet"]
+        code = main(
+            ["run", "--scale", "400", "--shard-size", "100", "--wal", str(wal),
+             *stop]
+        )
+        assert code == 1
+        assert f"resume with --resume {wal}]" in capsys.readouterr().err
+        assert main(["run", "--resume", str(wal), *stop]) == 1
+        assert f"resume with --resume {wal}]" in capsys.readouterr().err
 
     def test_retries_recover_and_totals_render(self, capsys):
         code = main(
@@ -449,8 +496,8 @@ class TestScale:
     def test_resume_with_experiment_manifest_uses_experiment_path(
         self, tmp_path, capsys
     ):
-        # An experiment-engine manifest routes to the experiment resume
-        # path, not the sharded one, based on its schema tag.
+        # Only a journal takes the sharded rail; an experiment-engine
+        # manifest routes to the experiment resume path.
         manifest_path = tmp_path / "run.json"
         main(["run", "R1", "--quiet", "--manifest", str(manifest_path)])
         capsys.readouterr()

@@ -46,8 +46,10 @@ still works.  This checker runs three fast probes:
    rebuild + re-dispatch), a hung shard is timed out under ``--timeout``
    and finished by ``--resume``, and a SIGKILL'd campaign *parent*
    recovers via ``--resume`` of its write-ahead journal — on both
-   executors, with a torn journal tail tolerated — and every recovered
-   run's per-shard cells equal the uninterrupted run's byte-for-byte.
+   executors, with a torn journal tail tolerated — or by running its
+   original command line again; every recovered run's per-shard cells
+   equal the uninterrupted run's byte-for-byte, and ``--wal`` pointed at
+   a JSON manifest fails without touching it.
 9. **Serve dump schema** — ``results/BENCH_serve.json``, when present,
    carries the ``repro/bench-serve@1`` tag, the latency rows and the
    fairness section ``docs/serve.md`` cites, sane percentiles
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -671,8 +674,9 @@ def check_chaos_recovery() -> list[str]:
     """Crash chaos matrix: killed workers, hung shards and killed parents
     must recover.
 
-    One clean reference run per executor, then four chaos scenarios whose
-    recovered per-shard cells must equal the clean run's byte-for-byte:
+    One clean reference run per executor, then five chaos scenarios whose
+    recovered per-shard cells must equal the clean run's byte-for-byte,
+    and one clobber check:
 
     - **worker-kill** (process only): ``--inject-fault s2:kill=1`` SIGKILLs
       the worker executing shard 2 once; supervision rebuilds the pool and
@@ -684,9 +688,14 @@ def check_chaos_recovery() -> list[str]:
     - **parent-kill** (both executors): ``--inject-fault PARENT:kill=2``
       SIGKILLs the campaign parent after 2 journaled folds; a
       ``--resume`` of the write-ahead journal completes the campaign.
+    - **rerun** (thread): a copy of the thread parent-kill's journal is
+      finished by running the original command line again (``--wal``,
+      no ``--resume``), which continues the journal of the same plan.
     - **torn journal** (thread): the WAL of a clean run loses its tail
       mid-record; resume discards the torn record, re-runs that shard,
       and still converges to the reference cells.
+    - **clobber**: ``--wal`` pointed at the clean run's JSON manifest
+      must exit 1 and leave that file byte-identical.
     """
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -810,6 +819,7 @@ def check_chaos_recovery() -> list[str]:
                 )
 
         # Parent kill + journal resume, on both executors.
+        rerun_wal = tmp_path / "rerun.wal"
         for executor in ("thread", "process"):
             wal = tmp_path / f"parent-{executor}.wal"
             proc = run_cli(
@@ -824,6 +834,8 @@ def check_chaos_recovery() -> list[str]:
                     "parent exited 0"
                 )
                 continue
+            if executor == "thread" and wal.exists():
+                shutil.copyfile(wal, rerun_wal)
             manifest = tmp_path / f"parent-{executor}.json"
             resumed = resume_cli(wal, manifest)
             if resumed.returncode != 0:
@@ -836,6 +848,52 @@ def check_chaos_recovery() -> list[str]:
                     f"chaos smoke (parent-kill/{executor}): resumed cells "
                     "differ from the clean run"
                 )
+
+        # Rerun: the original command line continues its own journal.
+        manifest = tmp_path / "rerun.json"
+        if not rerun_wal.exists():
+            problems.append("chaos smoke (rerun): no parent-kill journal")
+        else:
+            proc = run_cli(
+                "thread", "--wal", str(rerun_wal), "--manifest", str(manifest)
+            )
+            carried = (
+                json.loads(manifest.read_text())["extra"]
+                .get("resume", {})
+                .get("carried", [])
+                if proc.returncode == 0
+                else []
+            )
+            if proc.returncode != 0:
+                problems.append(
+                    f"chaos smoke (rerun): exited {proc.returncode}: "
+                    f"{proc.stderr[-500:]}"
+                )
+            elif len(carried) != 2:
+                problems.append(
+                    f"chaos smoke (rerun): carried {carried}; the run must "
+                    "continue the 2 shards its journal holds"
+                )
+            elif _shard_cells(manifest) != reference["thread"]:
+                problems.append(
+                    "chaos smoke (rerun): continued cells differ from the "
+                    "clean run"
+                )
+
+        # Clobber: --wal must never overwrite a file that is not a journal.
+        clean = tmp_path / "clean-thread.json"
+        before = clean.read_bytes()
+        proc = run_cli("thread", "--wal", str(clean))
+        if proc.returncode != 1:
+            problems.append(
+                f"chaos smoke (clobber): --wal at a JSON manifest exited "
+                f"{proc.returncode}, want 1: {proc.stderr[-500:]}"
+            )
+        if clean.read_bytes() != before:
+            problems.append(
+                "chaos smoke (clobber): --wal rewrote the JSON manifest it "
+                "was pointed at"
+            )
 
         # Torn journal: a clean WAL loses its tail; resume must converge.
         wal = tmp_path / "torn.wal"
@@ -1059,9 +1117,9 @@ def main() -> int:
         "bench ok: kernels, resampler stream, generation parity, "
         "evaluation parity, dump schemas, fault-injection smoke, "
         "shard-scale smoke (executor parity), cross-ecosystem smoke, "
-        "chaos-recovery "
-        "smoke (worker-kill / hung / parent-kill / torn-journal), serve "
-        "smoke (HTTP campaign parity), and cold-start module sets checked"
+        "chaos-recovery smoke (worker-kill / hung / parent-kill / rerun / "
+        "torn-journal / clobber), serve smoke (HTTP campaign parity), and "
+        "cold-start module sets checked"
     )
     return 0
 
