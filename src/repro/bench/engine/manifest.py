@@ -257,43 +257,56 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunManifest":
-        """Rebuild a manifest, failing loudly on schema drift."""
+        """Rebuild a manifest, failing loudly on schema drift.
+
+        A payload that is not a JSON object, or lacks a key, raises
+        :class:`~repro.errors.ConfigurationError` too.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"a run manifest is a JSON object, not {type(payload).__name__}"
+            )
         found = payload.get("schema")
         if found != MANIFEST_SCHEMA:
             raise ConfigurationError(
                 f"expected schema {MANIFEST_SCHEMA!r}, found {found!r}"
             )
-        records = tuple(
-            ExperimentRunRecord(
-                experiment_id=entry["experiment_id"],
-                title=entry["title"],
-                seed=entry["seed"],
-                wall_seconds=entry["wall_seconds"],
-                artifacts=tuple(
-                    ArtifactEvent(
-                        key=event["key"],
-                        status=event["status"],
-                        requester=entry["experiment_id"],
-                        seconds=event["seconds"],
-                    )
-                    for event in entry["artifacts"]
-                ),
-                status=entry["status"],
-                attempts=entry["attempts"],
-                failure=(
-                    FailureRecord.from_dict(entry["failure"])
-                    if entry.get("failure") is not None
-                    else None
-                ),
-                skip_reason=entry.get("skip_reason"),
+        try:
+            records = tuple(
+                ExperimentRunRecord(
+                    experiment_id=entry["experiment_id"],
+                    title=entry["title"],
+                    seed=entry["seed"],
+                    wall_seconds=entry["wall_seconds"],
+                    artifacts=tuple(
+                        ArtifactEvent(
+                            key=event["key"],
+                            status=event["status"],
+                            requester=entry["experiment_id"],
+                            seconds=event["seconds"],
+                        )
+                        for event in entry["artifacts"]
+                    ),
+                    status=entry["status"],
+                    attempts=entry["attempts"],
+                    failure=(
+                        FailureRecord.from_dict(entry["failure"])
+                        if entry.get("failure") is not None
+                        else None
+                    ),
+                    skip_reason=entry.get("skip_reason"),
+                )
+                for entry in payload["experiments"]
             )
-            for entry in payload["experiments"]
-        )
-        return cls(
-            seed=payload["seed"],
-            jobs=payload["jobs"],
-            wall_seconds=payload["wall_seconds"],
-            records=records,
-            cache_dir=payload.get("cache_dir"),
-            extra=payload.get("extra", {}),
-        )
+            return cls(
+                seed=payload["seed"],
+                jobs=payload["jobs"],
+                wall_seconds=payload["wall_seconds"],
+                records=records,
+                cache_dir=payload.get("cache_dir"),
+                extra=payload.get("extra", {}),
+            )
+        except KeyError as error:
+            raise ConfigurationError(
+                f"run manifest has no {error.args[0]!r} field"
+            ) from error

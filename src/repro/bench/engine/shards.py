@@ -559,11 +559,6 @@ def run_sharded_campaign(
         retries=retries, timeout=timeout, jobs=jobs, executor=executor,
         faults=faults,
     )
-    if executor == "process" and obs is not None and obs.profiler is not None:
-        raise ConfigurationError(
-            "profiling requires the thread executor: cProfile sessions "
-            "cannot be merged across worker processes"
-        )
     if shutdown is None:
         shutdown = ShutdownSignal()
 

@@ -14,7 +14,6 @@ Usage::
     python -m repro run --resume run.json # re-run only what didn't complete
     python -m repro run --scale 1000000 --shard-size 10000  # streaming campaign
     python -m repro run --scale 5000 --ecosystem npm-deps   # another ecosystem
-    python -m repro run --scale 5000 --ecosystem all        # every ecosystem
     python -m repro run --scale 1000000 --wal run.wal  # crash-safe journal
     python -m repro run --resume run.wal  # continue the journal's campaign
     python -m repro run --list-ecosystems  # print the registries
@@ -34,13 +33,15 @@ the same seed, ``--timeout SECONDS`` bounds each attempt, and the exit
 code is non-zero whenever any experiment did not complete.  ``--resume
 MANIFEST`` re-executes only the non-completed experiments of a prior run.
 
-Scale: ``--scale N`` switches ``run`` into sharded streaming-campaign mode
-— an ecosystem's tool suite is evaluated over an N-unit corpus partitioned
+Scale: ``--scale N`` switches ``run`` onto the shard rail — an
+ecosystem's tool suite is evaluated over an N-unit corpus partitioned
 into ``--shard-size`` shards, with per-shard retry/keep-going semantics
-and memory bounded by the shard size (see ``docs/scaling.md``).  A
-sharded run resumes from its write-ahead journal only: ``--resume FILE``
-takes the sharded rail when FILE starts with the journal magic, and a
-shard-run manifest is refused with a one-line pointer to ``--wal``.
+and memory bounded by the shard size (see ``docs/scaling.md``).  The
+rail is decided once: ``--resume FILE`` takes the shard rail when FILE
+starts with the journal magic and the experiment rail otherwise;
+without it, ``--scale`` does.  :func:`check_run_flags` then rejects, in
+one line, any flag that rail does not take, and any flag FILE restores
+(ids, ``--seed``, the plan, ``--wal``) passed beside ``--resume``.
 
 Crash safety: ``--wal FILE`` journals every folded shard durably, so even
 a ``kill -9`` of the campaign parent resumes bit-identically from the
@@ -56,10 +57,10 @@ quarantining any shard that keeps killing workers (see
 
 Ecosystems: ``--ecosystem NAME`` selects which registered
 :class:`~repro.workload.ecosystems.EcosystemProfile` shapes the corpus and
-the suite (``all`` loops every registered ecosystem); ``--tool-family KEY``
-(repeatable) restricts the suite to specific registered families; and
-``--list-ecosystems`` prints both registries.  Unknown names fail with a
-one-line error listing what is registered.
+the suite; ``--tool-family KEY`` (repeatable) restricts the suite to
+specific registered families; and ``--list-ecosystems`` prints both
+registries.  Unknown names fail with a one-line error listing what is
+registered.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from pathlib import Path
 
 from repro.bench.result import DEFAULT_SEED
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "check_run_flags"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--seed",
         type=int,
-        default=DEFAULT_SEED,
+        default=None,
         help=f"master seed (default {DEFAULT_SEED})",
     )
     run_parser.add_argument(
@@ -127,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "ecosystem regime for --scale campaigns: a registered name "
-            "(see --list-ecosystems), or 'all' to run every registered "
-            "ecosystem in sequence (default: web-services)"
+            "(see --list-ecosystems; default: web-services)"
         ),
     )
     run_parser.add_argument(
@@ -162,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--format",
         choices=("text", "md"),
-        default="text",
+        default=None,
         dest="output_format",
-        help="output format for --out files (text or GitHub markdown)",
+        help="output format for --out files: text (default) or GitHub markdown",
     )
     run_parser.add_argument(
         "--jobs",
@@ -439,102 +439,198 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(
-    ids: list[str],
-    seed: int,
-    out: Path | None,
-    quiet: bool,
-    output_format: str,
-    jobs: int,
-    cache_dir: Path | None,
-    manifest_path: Path | None,
-    trace_path: Path | None = None,
-    metrics_path: Path | None = None,
-    profile_dir: Path | None = None,
-    executor: str | None = None,
-    keep_going: bool = False,
-    retries: int = 0,
-    timeout: float | None = None,
-    resume_path: Path | None = None,
-    inject_faults: list[str] | None = None,
-) -> int:
-    from repro.bench.engine.faults import FaultPlan, parse_fault
-    from repro.bench.engine.manifest import RunManifest
-    from repro.bench.engine.scheduler import run_experiments
-    from repro.errors import ConfigurationError, EngineError
-    from repro.obs import Observability, Tracer
+#: The ``run`` flags the rail rules name, by argparse ``dest``: the name a
+#: rejection gives the flag, the rail that takes it (``None``: both), and
+#: whether ``--resume FILE`` restores it from FILE.
+_RAIL_FLAGS = {
+    "experiments": ("an experiment id", "experiments", True),
+    "out": ("--out", "experiments", False),
+    "profile": ("--profile", "experiments", False),
+    "output_format": ("--format", "experiments", False),
+    "seed": ("--seed", None, True),
+    "scale": ("--scale", "shards", True),
+    "shard_size": ("--shard-size", "shards", True),
+    "ecosystem": ("--ecosystem", "shards", True),
+    "tool_families": ("--tool-family", "shards", True),
+    "wal": ("--wal", "shards", True),
+}
+
+
+def _shard_rail(args: argparse.Namespace) -> bool:
+    """Whether ``run`` takes the shard rail: with ``--resume FILE``, when
+    FILE starts with the journal magic; otherwise, when ``--scale`` is set."""
+    if args.resume is None:
+        return args.scale is not None
+    from repro.bench.engine.wal import is_journal
+
+    return is_journal(args.resume)
+
+
+def check_run_flags(args: argparse.Namespace, sharded: bool) -> None:
+    """Reject, in one line, a ``run`` flag the chosen rail does not take.
+
+    ``sharded`` is the rail :func:`main` chose.  A flag is set when its
+    value is not ``None``; beside ``--resume FILE`` none of the flags FILE
+    restores may be set.  Reads no file, so documented command lines can
+    be checked against the same rules.
+    """
+    for dest, (flag, takes, restored) in _RAIL_FLAGS.items():
+        if getattr(args, dest) in (None, []):
+            continue
+        if restored and args.resume is not None:
+            raise SystemExit(
+                f"--resume continues {args.resume}'s own run; don't pass "
+                f"{flag} alongside it"
+            )
+        if takes == "shards" and not sharded:
+            raise SystemExit(f"{flag} requires --scale")
+        if takes == "experiments" and sharded:
+            raise SystemExit(f"{flag} applies to experiment runs, not --scale")
+    if not sharded and not args.experiments and args.resume is None:
+        raise SystemExit(
+            "experiment ids required (e.g. 'repro run R6 R11' or "
+            "'repro run all'), unless resuming with --resume MANIFEST"
+        )
+
+
+def _unwritable(
+    command: str, path: Path | str, error: OSError
+) -> SystemExit:
+    return SystemExit(
+        f"{command} aborted — cannot write {path}: {error.strerror or error}"
+    )
+
+
+def _load(path: Path, from_dict):
+    """``from_dict`` of FILE's JSON; every failure is a ReproError naming FILE."""
+    from repro.errors import ConfigurationError, PersistError
     from repro.persist import load_json
 
-    if jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-    if profile_dir is not None and executor == "process":
-        raise SystemExit(
-            "--profile requires --executor thread (cProfile sessions cannot "
-            "be merged across worker processes)"
-        )
-    resume_from = None
-    if resume_path is not None:
-        if not resume_path.exists():
-            raise SystemExit(f"no such manifest: {resume_path}")
-        payload = load_json(resume_path)
-        if str(payload.get("schema")).startswith("repro/shard-run@"):
-            raise SystemExit(
-                f"run aborted — {resume_path} is a shard-run manifest; a "
-                "sharded run resumes from its --wal journal"
-            )
-        try:
-            resume_from = RunManifest.from_dict(payload)
-        except ConfigurationError as error:
-            raise SystemExit(f"run aborted — {error}") from error
-        ids = resume_from.experiment_ids
-    faults = (
-        FaultPlan(tuple(parse_fault(spec) for spec in inject_faults))
-        if inject_faults
-        else None
-    )
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    profiler = None
-    if profile_dir is not None:
-        from repro.obs import Profiler
-
-        profiler = Profiler(profile_dir)
-    obs = Observability(
-        tracer=Tracer(enabled=trace_path is not None), profiler=profiler
-    )
     try:
-        run = run_experiments(
-            ids,
-            seed=seed,
-            jobs=jobs,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            obs=obs,
-            executor=executor,
-            keep_going=keep_going,
-            retries=retries,
-            timeout=timeout,
-            faults=faults,
-            resume_from=resume_from,
+        payload = load_json(path)
+    except OSError as error:
+        raise PersistError(
+            f"cannot read {path}: {error.strerror or error}", path=str(path)
+        ) from error
+    try:
+        return from_dict(payload)
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{path}: {error}") from error
+
+
+def _save(payload: dict, path: Path) -> None:
+    from repro.persist import save_json
+
+    try:
+        save_json(payload, path)
+    except OSError as error:
+        raise _unwritable("run", path, error) from error
+
+
+def _print_unfinished(label: str, record) -> None:
+    """``[R3 failed after 1 attempt: …]`` / ``[shard 1 timeout …]``."""
+    failure = record.failure
+    detail = (
+        f"{failure.error_type}: {failure.message}"
+        if failure is not None
+        else record.status
+    )
+    print(
+        f"[{label} {record.status} after {record.attempts} "
+        f"attempt{'s' if record.attempts != 1 else ''}: {detail}]",
+        file=sys.stderr,
+    )
+
+
+def _cmd_run(args: argparse.Namespace, sharded: bool) -> int:
+    """Run one rail, then write its outputs and summary line."""
+    from repro.bench.engine.faults import FaultPlan, parse_fault
+    from repro.errors import ConfigurationError, EngineError, PersistError
+    from repro.obs import Observability, Tracer
+
+    check_run_flags(args, sharded)
+    if args.jobs < 1:
+        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
+    obs = Observability(tracer=Tracer(enabled=args.trace is not None))
+    try:
+        faults = (
+            FaultPlan(tuple(parse_fault(spec) for spec in args.inject_faults))
+            if args.inject_faults
+            else None
         )
-    except (ConfigurationError, EngineError) as error:
+        rail = _run_shards if sharded else _run_experiments
+        manifest = rail(args, obs, faults)
+    except (ConfigurationError, EngineError, PersistError) as error:
         raise SystemExit(f"run aborted — {error}") from error
+    if args.manifest is not None:
+        _save(manifest.to_dict(), args.manifest)
+    if args.trace is not None:
+        _save(obs.tracer.to_chrome_trace(), args.trace)
+        print(
+            f"[trace: {len(obs.tracer)} spans -> {args.trace}]", file=sys.stderr
+        )
+    if args.metrics_out is not None:
+        _save(obs.metrics.to_dict(), args.metrics_out)
+        print(f"[metrics -> {args.metrics_out}]", file=sys.stderr)
+    if obs.profiler is not None:
+        hotspots = obs.profiler.write_hotspots()
+        print(
+            f"[profiles: {len(obs.profiler.reports)} .pstats + {hotspots}]",
+            file=sys.stderr,
+        )
+    print(f"[{manifest.summary_line()}]", file=sys.stderr)
+    return 0 if manifest.ok else 1
+
+
+def _run_experiments(args: argparse.Namespace, obs, faults):
+    """The experiment rail: run (or resume) experiments, print each report."""
+    from repro.bench.engine.manifest import RunManifest
+    from repro.bench.engine.scheduler import run_experiments
+    from repro.errors import ConfigurationError
+
+    def resumable(payload) -> RunManifest:
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if str(schema).startswith("repro/shard-run@"):
+            raise ConfigurationError(
+                "a sharded run resumes from its --wal journal, not from its "
+                "manifest"
+            )
+        return RunManifest.from_dict(payload)
+
+    ids = _normalize_ids(args.experiments)
+    resume_from = None
+    if args.resume is not None:
+        resume_from = _load(args.resume, resumable)
+        ids = resume_from.experiment_ids
+    try:
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+        if args.profile is not None:
+            from repro.obs import Profiler
+
+            obs.profiler = Profiler(args.profile)
+    except OSError as error:
+        raise _unwritable("run", error.filename, error) from error
+    run = run_experiments(
+        ids,
+        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        jobs=args.jobs,
+        cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
+        obs=obs,
+        executor=args.executor,
+        keep_going=args.keep_going,
+        retries=args.retries,
+        timeout=args.timeout,
+        faults=faults,
+        resume_from=resume_from,
+    )
     for key in ids:
         record = run.manifest.record_for(key)
+        if record.status == "skipped":
+            print(f"[{key} skipped: {record.skip_reason}]", file=sys.stderr)
+            continue
         if not record.completed:
-            if record.status == "skipped":
-                print(f"[{key} skipped: {record.skip_reason}]", file=sys.stderr)
-            else:
-                failure = record.failure
-                detail = (
-                    f"{failure.error_type}: {failure.message}"
-                    if failure is not None
-                    else record.status
-                )
-                print(
-                    f"[{key} {record.status} after {record.attempts} "
-                    f"attempt{'s' if record.attempts != 1 else ''}: {detail}]",
-                    file=sys.stderr,
-                )
+            _print_unfinished(key, record)
             continue
         result = run.results.get(key)
         if result is None:
@@ -545,142 +641,85 @@ def _cmd_run(
                 file=sys.stderr,
             )
             continue
-        if not quiet:
+        if not args.quiet:
             print(result.render())
             print()
         print(
             f"[{key} completed in {record.wall_seconds:.1f}s]", file=sys.stderr
         )
-        if out is not None:
-            if output_format == "md":
+        if args.out is not None:
+            if args.output_format == "md":
                 from repro.reporting.markdown import experiment_to_markdown
 
+                path = args.out / f"{key.lower()}.md"
                 rendered = experiment_to_markdown(
                     result.experiment_id, result.title, result.sections
                 )
-                (out / f"{key.lower()}.md").write_text(rendered, encoding="utf-8")
             else:
-                (out / f"{key.lower()}.txt").write_text(
-                    result.render() + "\n", encoding="utf-8"
-                )
-    if manifest_path is not None:
-        from repro.persist import save_json
-
-        save_json(run.manifest.to_dict(), manifest_path)
-    if trace_path is not None:
-        from repro.persist import save_json
-
-        save_json(obs.tracer.to_chrome_trace(), trace_path)
-        print(
-            f"[trace: {len(obs.tracer)} spans -> {trace_path}]", file=sys.stderr
-        )
-    if metrics_path is not None:
-        from repro.persist import save_json
-
-        save_json(obs.metrics.to_dict(), metrics_path)
-        print(f"[metrics -> {metrics_path}]", file=sys.stderr)
-    if profiler is not None:
-        hotspots = profiler.write_hotspots()
-        print(
-            f"[profiles: {len(profiler.reports)} .pstats + {hotspots}]",
-            file=sys.stderr,
-        )
-    print(f"[{run.manifest.summary_line()}]", file=sys.stderr)
-    return 0 if run.manifest.ok else 1
+                path = args.out / f"{key.lower()}.txt"
+                rendered = result.render() + "\n"
+            try:
+                path.write_text(rendered, encoding="utf-8")
+            except OSError as error:
+                raise _unwritable("run", path, error) from error
+    return run.manifest
 
 
-def _cmd_run_scale(
-    scale: int | None,
-    shard_size: int,
-    seed: int,
-    quiet: bool,
-    jobs: int,
-    executor: str | None,
-    cache_dir: Path | None,
-    manifest_path: Path | None,
-    trace_path: Path | None,
-    metrics_path: Path | None,
-    keep_going: bool,
-    retries: int,
-    inject_faults: list[str] | None,
-    ecosystem: str | None = None,
-    tool_families: list[str] | None = None,
-    timeout: float | None = None,
-    wal_path: Path | None = None,
-) -> int:
-    # ``scale=None`` continues the journal at ``wal_path`` under its own plan.
-    from repro.bench.engine.faults import FaultPlan, parse_fault
+def _run_shards(args: argparse.Namespace, obs, faults):
+    """The shard rail: run a sharded campaign, or continue its journal."""
     from repro.bench.engine.shards import run_sharded_campaign
     from repro.bench.engine.supervise import graceful_shutdown
-    from repro.errors import ConfigurationError, EngineError, PersistError
-    from repro.obs import Observability, Tracer
     from repro.reporting.tables import format_table
-
-    if jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-    if scale is not None and scale < 1:
-        raise SystemExit(f"--scale must be >= 1, got {scale}")
-    if shard_size < 1:
-        raise SystemExit(f"--shard-size must be >= 1, got {shard_size}")
-    faults = (
-        FaultPlan(tuple(parse_fault(spec) for spec in inject_faults))
-        if inject_faults
-        else None
-    )
     from repro.workload.ecosystems import DEFAULT_ECOSYSTEM
+    from repro.workload.sharded import DEFAULT_SHARD_SIZE
 
-    obs = Observability(tracer=Tracer(enabled=trace_path is not None))
-    try:
-        with graceful_shutdown() as shutdown:
-            run = run_sharded_campaign(
-                scale=scale,
-                shard_size=shard_size,
-                seed=seed,
-                jobs=jobs,
-                executor=executor,
-                keep_going=keep_going,
-                retries=retries,
-                cache_dir=str(cache_dir) if cache_dir is not None else None,
-                obs=obs,
-                faults=faults,
-                wal_path=str(wal_path) if wal_path is not None else None,
-                timeout=timeout,
-                shutdown=shutdown,
-                ecosystem=(
-                    ecosystem if ecosystem is not None else DEFAULT_ECOSYSTEM
-                ),
-                tool_families=(
-                    tuple(tool_families) if tool_families is not None else None
-                ),
-            )
-    except (ConfigurationError, EngineError, PersistError) as error:
-        raise SystemExit(f"run aborted — {error}") from error
+    if args.scale is not None and args.scale < 1:
+        raise SystemExit(f"--scale must be >= 1, got {args.scale}")
+    if args.shard_size is not None and args.shard_size < 1:
+        raise SystemExit(f"--shard-size must be >= 1, got {args.shard_size}")
+    # A journal passed to --resume is continued under its own plan.
+    wal = args.resume if args.resume is not None else args.wal
+    with graceful_shutdown() as shutdown:
+        run = run_sharded_campaign(
+            scale=args.scale,
+            shard_size=(
+                args.shard_size
+                if args.shard_size is not None
+                else DEFAULT_SHARD_SIZE
+            ),
+            seed=args.seed if args.seed is not None else DEFAULT_SEED,
+            jobs=args.jobs,
+            executor=args.executor,
+            keep_going=args.keep_going,
+            retries=args.retries,
+            cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
+            obs=obs,
+            faults=faults,
+            wal_path=str(wal) if wal is not None else None,
+            timeout=args.timeout,
+            shutdown=shutdown,
+            ecosystem=(
+                args.ecosystem if args.ecosystem is not None else DEFAULT_ECOSYSTEM
+            ),
+            tool_families=(
+                tuple(args.tool_families)
+                if args.tool_families is not None
+                else None
+            ),
+        )
     for record in run.manifest.records:
-        if record.completed:
-            continue
-        failure = record.failure
-        detail = (
-            f"{failure.error_type}: {failure.message}"
-            if failure is not None
-            else record.status
-        )
-        print(
-            f"[shard {record.index} {record.status} after {record.attempts} "
-            f"attempt{'s' if record.attempts != 1 else ''}: {detail}]",
-            file=sys.stderr,
-        )
+        if not record.completed:
+            _print_unfinished(f"shard {record.index}", record)
     if run.interrupted:
         info = run.manifest.extra["interrupted"]
-        hint = (
-            f"; resume with --resume {wal_path}" if wal_path is not None else ""
-        )
+        hint = f"; resume with --resume {wal}" if wal is not None else ""
         print(
             f"[interrupted ({info['reason']}): "
             f"{len(info['unfinished'])} shards unfinished{hint}]",
             file=sys.stderr,
         )
     totals = run.totals
-    if totals is not None and not quiet:
+    if totals is not None and not args.quiet:
         rows = [
             [
                 name,
@@ -705,24 +744,7 @@ def _cmd_run_scale(
             )
         )
         print()
-    if manifest_path is not None:
-        from repro.persist import save_json
-
-        save_json(run.manifest.to_dict(), manifest_path)
-    if trace_path is not None:
-        from repro.persist import save_json
-
-        save_json(obs.tracer.to_chrome_trace(), trace_path)
-        print(
-            f"[trace: {len(obs.tracer)} spans -> {trace_path}]", file=sys.stderr
-        )
-    if metrics_path is not None:
-        from repro.persist import save_json
-
-        save_json(obs.metrics.to_dict(), metrics_path)
-        print(f"[metrics -> {metrics_path}]", file=sys.stderr)
-    print(f"[{run.manifest.summary_line()}]", file=sys.stderr)
-    return 0 if run.manifest.ok else 1
+    return run.manifest
 
 
 def _cmd_list_ecosystems() -> int:
@@ -742,62 +764,21 @@ def _cmd_list_ecosystems() -> int:
     return 0
 
 
-def _validate_ecosystem_args(args: "argparse.Namespace") -> None:
-    """Fail fast on unknown/ill-combined --ecosystem / --tool-family."""
-    from repro.errors import ConfigurationError
-
-    sharded = args.scale is not None
-    if args.ecosystem is not None:
-        if not sharded:
-            raise SystemExit("--ecosystem requires --scale")
-        if args.resume is not None:
-            raise SystemExit(
-                "--resume restores the journal's own ecosystem; don't "
-                "pass --ecosystem alongside it"
-            )
-        if args.ecosystem != "all":
-            from repro.workload.ecosystems import get_ecosystem
-
-            try:
-                get_ecosystem(args.ecosystem)
-            except ConfigurationError as error:
-                raise SystemExit(str(error)) from error
-        else:
-            for flag, value in (
-                ("--manifest", args.manifest),
-                ("--trace", args.trace),
-                ("--metrics-out", args.metrics_out),
-            ):
-                if value is not None:
-                    raise SystemExit(
-                        "--ecosystem all runs several campaigns and each "
-                        f"would overwrite the {flag} file — pick a single "
-                        "ecosystem"
-                    )
-    if args.tool_families is not None:
-        if not sharded:
-            raise SystemExit("--tool-family requires --scale")
-        from repro.tools.families import get_family
-
-        for key in args.tool_families:
-            try:
-                get_family(key)
-            except ConfigurationError as error:
-                raise SystemExit(str(error)) from error
-
-
 def _cmd_stats(
     metrics_file: Path | None, prefix: str, cache_dir: Path | None = None
 ) -> int:
     if metrics_file is None and cache_dir is None:
         raise SystemExit("stats needs a metrics FILE and/or --cache-dir DIR")
     if metrics_file is not None:
+        from repro.errors import ReproError
         from repro.obs import MetricsRegistry
-        from repro.persist import load_json
 
         if not metrics_file.exists():
             raise SystemExit(f"no such metrics dump: {metrics_file}")
-        registry = MetricsRegistry.from_dict(load_json(metrics_file))
+        try:
+            registry = _load(metrics_file, MetricsRegistry.from_dict)
+        except ReproError as error:
+            raise SystemExit(f"stats aborted — {error}") from error
         print(registry.render(prefix))
     if cache_dir is not None:
         from repro.bench.engine.artifacts import CORRUPT_RETENTION_CAP
@@ -871,6 +852,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = CampaignService(config)
     except ConfigurationError as error:
         raise SystemExit(f"serve aborted — {error}") from error
+    except OSError as error:
+        raise _unwritable("serve", args.state_dir, error) from error
     recovered = service.start()
     for record in recovered:
         print(
@@ -903,123 +886,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.list_ecosystems:
         return _cmd_list_ecosystems()
-    _validate_ecosystem_args(args)
-    journal = None
-    if args.resume is not None:
-        from repro.bench.engine.wal import is_journal
-
-        journal = args.resume if is_journal(args.resume) else None
-    if args.scale is not None or journal is not None:
-        if args.experiments:
-            raise SystemExit(
-                "--scale runs a sharded campaign, not experiments; don't "
-                "pass experiment ids alongside it"
-            )
-        if args.resume is not None:
-            for flag, value in (
-                ("--scale", args.scale), ("--shard-size", args.shard_size)
-            ):
-                if value is not None:
-                    raise SystemExit(
-                        "--resume continues the journal's own plan; don't "
-                        f"pass {flag} alongside it"
-                    )
-        if args.out is not None:
-            raise SystemExit("--out applies to experiment runs, not --scale")
-        if args.profile is not None:
-            raise SystemExit(
-                "--profile applies to experiment runs, not --scale"
-            )
-        if args.wal is not None and args.ecosystem == "all":
-            raise SystemExit(
-                "--ecosystem all runs several campaigns; --wal would "
-                "interleave them in one journal — pick a single ecosystem"
-            )
-        if args.wal is not None and journal is not None:
-            raise SystemExit(
-                "--resume JOURNAL already appends the remaining shards to "
-                "that journal; don't pass --wal alongside it"
-            )
-        from repro.workload.sharded import DEFAULT_SHARD_SIZE
-
-        shard_size = (
-            args.shard_size if args.shard_size is not None else DEFAULT_SHARD_SIZE
-        )
-        if args.ecosystem == "all":
-            from repro.workload.ecosystems import ecosystem_names
-
-            worst = 0
-            for name in ecosystem_names():
-                print(f"[ecosystem {name}]", file=sys.stderr)
-                code = _cmd_run_scale(
-                    args.scale,
-                    shard_size,
-                    args.seed,
-                    args.quiet,
-                    args.jobs,
-                    args.executor,
-                    args.cache_dir,
-                    None,
-                    None,
-                    None,
-                    args.keep_going,
-                    args.retries,
-                    args.inject_faults,
-                    ecosystem=name,
-                    tool_families=args.tool_families,
-                    timeout=args.timeout,
-                )
-                worst = max(worst, code)
-            return worst
-        return _cmd_run_scale(
-            args.scale,
-            shard_size,
-            args.seed,
-            args.quiet,
-            args.jobs,
-            args.executor,
-            args.cache_dir,
-            args.manifest,
-            args.trace,
-            args.metrics_out,
-            args.keep_going,
-            args.retries,
-            args.inject_faults,
-            ecosystem=args.ecosystem,
-            tool_families=args.tool_families,
-            timeout=args.timeout,
-            wal_path=journal if journal is not None else args.wal,
-        )
-    if args.shard_size is not None:
-        raise SystemExit("--shard-size requires --scale")
-    if args.wal is not None:
-        raise SystemExit("--wal applies to --scale runs")
-    if not args.experiments and args.resume is None:
-        raise SystemExit(
-            "experiment ids required (e.g. 'repro run R6 R11' or "
-            "'repro run all'), unless resuming with --resume MANIFEST"
-        )
-    if args.experiments and args.resume is not None:
-        raise SystemExit(
-            "--resume re-runs the manifest's own experiment set; "
-            "don't pass experiment ids alongside it"
-        )
-    return _cmd_run(
-        _normalize_ids(args.experiments) if args.experiments else [],
-        args.seed,
-        args.out,
-        args.quiet,
-        args.output_format,
-        args.jobs,
-        args.cache_dir,
-        args.manifest,
-        args.trace,
-        args.metrics_out,
-        args.profile,
-        args.executor,
-        args.keep_going,
-        args.retries,
-        args.timeout,
-        args.resume,
-        args.inject_faults,
-    )
+    return _cmd_run(args, sharded=_shard_rail(args))

@@ -249,7 +249,15 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from a dump, failing loudly on schema drift."""
+        """Rebuild a registry from a dump, failing loudly on schema drift.
+
+        A payload that is not a JSON object, or a histogram that lacks a
+        key, raises :class:`~repro.errors.ConfigurationError` too.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"a metrics dump is a JSON object, not {type(payload).__name__}"
+            )
         found = payload.get("schema")
         if found != METRICS_SCHEMA:
             raise ConfigurationError(
@@ -261,11 +269,18 @@ class MetricsRegistry:
         for name, value in payload.get("gauges", {}).items():
             registry.gauge(name).set(value)
         for name, entry in payload.get("histograms", {}).items():
-            histogram = registry.histogram(name, tuple(entry["buckets"]))
+            try:
+                buckets, counts = tuple(entry["buckets"]), list(entry["counts"])
+                count, total = int(entry["count"]), float(entry["total"])
+            except KeyError as error:
+                raise ConfigurationError(
+                    f"histogram {name!r} has no {error.args[0]!r} field"
+                ) from error
+            histogram = registry.histogram(name, buckets)
             with histogram._lock:
-                histogram._counts = list(entry["counts"])
-                histogram._count = int(entry["count"])
-                histogram._total = float(entry["total"])
+                histogram._counts = counts
+                histogram._count = count
+                histogram._total = total
         return registry
 
     def merge_dict(self, payload: dict[str, Any]) -> None:

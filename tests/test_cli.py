@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -136,9 +137,11 @@ class TestEngineFlags:
         processed = capsys.readouterr().out
         assert processed == threaded
 
-    def test_profile_with_process_executor_is_a_clean_error(self):
-        with pytest.raises(SystemExit, match="--executor thread"):
-            main(["run", "R1", "--profile", "--executor", "process"])
+    def test_profile_with_process_executor_is_a_clean_error(self, tmp_path):
+        message = "^run aborted — profiling requires the thread executor"
+        for extra in (["--executor", "process"], ["--jobs", "2"]):
+            with pytest.raises(SystemExit, match=message):
+                main(["run", "R1", "--profile", str(tmp_path), *extra])
 
     def test_manifest_written_with_schema(self, tmp_path, capsys):
         manifest_path = tmp_path / "run.json"
@@ -271,8 +274,11 @@ class TestParser:
             main(["run", "R1", "--resume", str(tmp_path / "m.json")])
 
     def test_defaults(self):
+        # None means "not passed": each rail resolves --seed to 2015 and
+        # --format to text, and --resume can reject an explicit --seed 0.
         args = build_parser().parse_args(["run", "R1"])
-        assert args.seed == 2015
+        assert args.seed is None
+        assert args.output_format is None
         assert args.jobs == 1
         assert args.cache_dir is None
         assert args.manifest is None
@@ -413,7 +419,10 @@ class TestScale:
         assert counters["engine.shards.units"] == 60
 
     def test_scale_rejects_experiment_ids(self):
-        with pytest.raises(SystemExit, match="not experiments"):
+        with pytest.raises(
+            SystemExit,
+            match="^an experiment id applies to experiment runs, not --scale$",
+        ):
             main(["run", "R1", "--scale", "100"])
 
     def test_scale_rejects_resume_out_profile(self, tmp_path):
@@ -425,15 +434,8 @@ class TestScale:
             main(["run", "--scale", "10", "--profile"])
 
     def test_wal_requires_scale(self, tmp_path):
-        with pytest.raises(SystemExit, match="--wal applies to --scale"):
+        with pytest.raises(SystemExit, match="^--wal requires --scale$"):
             main(["run", "R1", "--wal", str(tmp_path / "w.wal")])
-
-    def test_wal_rejects_ecosystem_all(self, tmp_path):
-        with pytest.raises(SystemExit, match="interleave"):
-            main(
-                ["run", "--scale", "10", "--ecosystem", "all",
-                 "--wal", str(tmp_path / "w.wal")]
-            )
 
     def test_wal_rejects_journal_resume(self, tmp_path):
         from repro.bench.engine.wal import JournalHeader, ShardJournal
@@ -534,6 +536,11 @@ class TestEcosystemFlags:
     def test_unknown_ecosystem_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown ecosystem 'bogus'"):
             main(["run", "--scale", "40", "--ecosystem", "bogus"])
+        # 'all' is no longer a sweep; it is just not a registered name.
+        with pytest.raises(
+            SystemExit, match="^run aborted — unknown ecosystem 'all'; known: "
+        ):
+            main(["run", "--scale", "40", "--ecosystem", "all"])
 
     def test_unknown_tool_family_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="unknown tool family 'nope'"):
@@ -552,27 +559,6 @@ class TestEcosystemFlags:
             main(
                 ["run", "--resume", str(tmp_path / "m.json"),
                  "--ecosystem", "npm-deps"]
-            )
-
-    def test_ecosystem_all_runs_every_registry_entry(self, capsys):
-        from repro.workload.ecosystems import ecosystem_names
-
-        code = main(
-            ["run", "--scale", "30", "--shard-size", "15",
-             "--ecosystem", "all", "--quiet"]
-        )
-        err = capsys.readouterr().err
-        assert code == 0
-        for name in ecosystem_names():
-            assert f"[ecosystem {name}]" in err
-
-    @pytest.mark.parametrize("flag", ["--manifest", "--trace", "--metrics-out"])
-    def test_ecosystem_all_rejects_manifest(self, tmp_path, flag):
-        # Each ecosystem's campaign would rewrite the same output file.
-        with pytest.raises(SystemExit, match=f"--ecosystem all.*{flag}"):
-            main(
-                ["run", "--scale", "30", "--ecosystem", "all",
-                 flag, str(tmp_path / "out.json")]
             )
 
 
@@ -625,3 +611,411 @@ class TestServe:
             "ad-hoc": 0.5,
         }
         assert _parse_tenant_weights(None) == {}
+
+
+def _write_journal(path: Path) -> None:
+    """A journal header only: enough for ``run`` to pick the shard rail."""
+    from repro.bench.engine.wal import JournalHeader, ShardJournal
+
+    ShardJournal.create(
+        path,
+        JournalHeader(
+            seed=5, scale=60, shard_size=30, ecosystem="web-services",
+            tool_names=("ToolA",), tool_families=None,
+        ),
+    ).close()
+
+
+def _write_run_manifest(path: Path) -> dict:
+    """A ``run-manifest@2`` whose one experiment, R3, failed at seed 5."""
+    from repro.bench.engine.manifest import ExperimentRunRecord, RunManifest
+
+    manifest = RunManifest(
+        seed=5, jobs=1, wall_seconds=0.0,
+        records=(
+            ExperimentRunRecord(
+                experiment_id="R3", title="R3", seed=5, wall_seconds=0.0,
+                status="failed",
+            ),
+        ),
+    )
+    path.write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
+    return manifest.to_dict()
+
+
+class _StubManifest:
+    ok = True
+    records = ()
+
+    def record_for(self, key):
+        return SimpleNamespace(
+            status="completed", completed=True, wall_seconds=0.0
+        )
+
+    def to_dict(self):
+        return {"stub": True}
+
+    def summary_line(self):
+        return "stub run"
+
+
+class _StubRun:
+    manifest = _StubManifest()
+    results: dict = {}
+    totals = None
+    interrupted = False
+
+
+TRIGGER_FILES = {"journal": "j.wal", "manifest": "run.json"}
+
+
+class TestRailTable:
+    """``main`` either calls the one rail the rule picks, with the drawn
+    values, or rejects a flag that rail does not take in one line.
+
+    The rule is written out here, not read from ``repro.cli``: with
+    ``--resume FILE``, FILE's journal magic picks the rail and every flag
+    FILE restores is rejected; without it ``--scale`` picks the shard rail.
+    """
+
+    RESTORED = {
+        "ids", "--seed", "--scale", "--shard-size", "--ecosystem",
+        "--tool-family", "--wal",
+    }
+    SHARD_ONLY = {
+        "--scale", "--shard-size", "--ecosystem", "--tool-family", "--wal",
+    }
+    EXPERIMENT_ONLY = {"ids", "--out", "--profile", "--format"}
+    NEUTRAL = [
+        "--quiet", "--jobs", "--executor", "--cache-dir", "--manifest",
+        "--trace", "--metrics-out", "--keep-going", "--retries", "--timeout",
+        "--inject-fault",
+    ]
+    SHOWN_AS = {"ids": "an experiment id"}
+    TRIGGERS = {
+        "ids": {"ids"},
+        "scale": {"--scale", "--shard-size"},
+        "journal": set(),
+        "manifest": set(),
+    }
+
+    @staticmethod
+    def _values(draw, root: Path) -> dict:
+        from hypothesis import strategies as st
+
+        return {
+            "ids": ["R1"],
+            "--seed": ["--seed", str(draw(st.integers(0, 10)))],
+            "--scale": ["--scale", "60"],
+            "--shard-size": ["--shard-size", "30"],
+            "--ecosystem": [
+                "--ecosystem",
+                draw(st.sampled_from(["web-services", "android", "iac"])),
+            ],
+            "--tool-family": [
+                "--tool-family", draw(st.sampled_from(["sa", "sca"]))
+            ],
+            "--wal": ["--wal", str(root / "w.wal")],
+            "--out": ["--out", str(root / "out")],
+            "--profile": ["--profile", str(root / "prof")],
+            "--format": ["--format", draw(st.sampled_from(["text", "md"]))],
+            "--quiet": ["--quiet"],
+            "--jobs": ["--jobs", str(draw(st.integers(1, 3)))],
+            "--executor": [
+                "--executor", draw(st.sampled_from(["thread", "process"]))
+            ],
+            "--cache-dir": ["--cache-dir", str(root / "cache")],
+            "--manifest": ["--manifest", str(root / "m.json")],
+            "--trace": ["--trace", str(root / "t.json")],
+            "--metrics-out": ["--metrics-out", str(root / "metrics.json")],
+            "--keep-going": ["--keep-going"],
+            "--retries": ["--retries", str(draw(st.integers(0, 2)))],
+            "--timeout": ["--timeout", draw(st.sampled_from(["0.5", "30"]))],
+            "--inject-fault": ["--inject-fault", "R3:fail=1"],
+        }
+
+    def _expected_rejection(self, trigger: str, drawn: set[str]):
+        resume = trigger in ("journal", "manifest")
+        sharded = trigger == "journal" if resume else "--scale" in drawn
+        forbidden = {}
+        for flag in drawn:
+            if resume and flag in self.RESTORED:
+                forbidden[flag] = "resume"
+            elif flag in self.SHARD_ONLY and not sharded:
+                forbidden[flag] = "requires"
+            elif flag in self.EXPERIMENT_ONLY and sharded:
+                forbidden[flag] = "applies"
+        return sharded, forbidden
+
+    def test_main_calls_the_rule_s_rail_or_rejects_one_drawn_flag(self):
+        import re
+        import tempfile
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.bench.engine import scheduler, shards
+
+        rail_flags = self.RESTORED | self.SHARD_ONLY | self.EXPERIMENT_ONLY
+        shown = {self.SHOWN_AS.get(flag, flag): flag for flag in rail_flags}
+        patterns = {
+            "resume": r"--resume continues .*'s own run; "
+            r"don't pass (.+) alongside it",
+            "requires": r"(.+) requires --scale",
+            "applies": r"(.+) applies to experiment runs, not --scale",
+        }
+        probes = [
+            (trigger, flag)
+            for trigger, own in sorted(self.TRIGGERS.items())
+            for flag in [None, *sorted(rail_flags - own)]
+        ]
+        calls = []
+
+        def check(data, root, manifest_dict):
+            # A trigger and at most one rail flag, uniformly, so that each
+            # flag alone on each rail is a common draw; then, half the
+            # time, any subset of the other rail flags.
+            trigger, probe = data.draw(st.sampled_from(probes))
+            drawn = {probe} - {None}
+            drawn |= data.draw(
+                st.one_of(
+                    st.just(set()),
+                    st.sets(
+                        st.sampled_from(
+                            sorted(rail_flags - self.TRIGGERS[trigger])
+                        )
+                    ),
+                )
+            )
+            drawn |= data.draw(st.sets(st.sampled_from(self.NEUTRAL)))
+            values = self._values(data.draw, root)
+            drawn |= self.TRIGGERS[trigger]
+            argv = ["run"] + (["R1"] if "ids" in drawn else [])
+            if trigger in ("journal", "manifest"):
+                argv += ["--resume", str(root / TRIGGER_FILES[trigger])]
+            for flag in sorted(drawn - {"ids"}):
+                argv += values[flag]
+
+            calls.clear()
+            sharded, forbidden = self._expected_rejection(trigger, drawn)
+            if forbidden:
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv)
+                message = str(excinfo.value.code)
+                named = [
+                    (why, shown.get(match.group(1)))
+                    for why, pattern in patterns.items()
+                    if (match := re.fullmatch(pattern, message))
+                ]
+                assert len(named) == 1, message
+                why, flag = named[0]
+                assert forbidden.get(flag) == why, (message, forbidden)
+                assert calls == []
+            else:
+                assert main(argv) == 0
+                assert [rail for rail, _ in calls] == [
+                    "shards" if sharded else "experiments"
+                ]
+                self._check_kwargs(
+                    calls[0][1], trigger, drawn, values, root, manifest_dict
+                )
+
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            pytest.MonkeyPatch.context() as patch,
+        ):
+            root = Path(tmp)
+            _write_journal(root / TRIGGER_FILES["journal"])
+            manifest_dict = _write_run_manifest(root / TRIGGER_FILES["manifest"])
+            before = {
+                name: (root / name).read_bytes() for name in TRIGGER_FILES.values()
+            }
+            patch.setattr(
+                scheduler, "run_experiments",
+                lambda ids, **kw: calls.append(
+                    ("experiments", {"ids": list(ids), **kw})
+                ) or _StubRun(),
+            )
+            patch.setattr(
+                shards, "run_sharded_campaign",
+                lambda **kw: calls.append(("shards", kw)) or _StubRun(),
+            )
+            settings(max_examples=400, deadline=None)(given(st.data())(
+                lambda data: check(data, root, manifest_dict)
+            ))()
+            assert {
+                name: (root / name).read_bytes() for name in TRIGGER_FILES.values()
+            } == before
+
+    @staticmethod
+    def _check_kwargs(kwargs, trigger, drawn, values, root, manifest_dict):
+        def value(flag, default):
+            return values[flag][1] if flag in drawn else default
+
+        assert kwargs["seed"] == int(value("--seed", 2015))
+        assert kwargs["jobs"] == int(value("--jobs", 1))
+        assert kwargs["executor"] == value("--executor", None)
+        assert kwargs["keep_going"] == ("--keep-going" in drawn)
+        assert kwargs["retries"] == int(value("--retries", 0))
+        timeout = value("--timeout", None)
+        assert kwargs["timeout"] == (float(timeout) if timeout else None)
+        assert kwargs["cache_dir"] == value("--cache-dir", None)
+        assert (kwargs["faults"] is not None) == ("--inject-fault" in drawn)
+        if "scale" in kwargs:
+            journal = trigger == "journal"
+            assert kwargs["scale"] == (None if journal else 60)
+            assert kwargs["shard_size"] == int(value("--shard-size", 10000))
+            assert kwargs["ecosystem"] == value("--ecosystem", "web-services")
+            family = value("--tool-family", None)
+            assert kwargs["tool_families"] == ((family,) if family else None)
+            wal = str(root / "j.wal") if journal else value("--wal", None)
+            assert kwargs["wal_path"] == wal
+        elif trigger == "manifest":
+            assert kwargs["resume_from"].to_dict() == manifest_dict
+            assert kwargs["ids"] == ["R3"]
+        else:
+            assert kwargs["resume_from"] is None
+            assert kwargs["ids"] == ["R1"]
+
+
+class TestRejections:
+    """Each rejection is one stderr line, exit 1, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--resume", "{J}", "--seed", "9"],
+             "--resume continues {J}'s own run; don't pass --seed alongside it"),
+            (["--resume", "{M}", "--seed", "9"],
+             "--resume continues {M}'s own run; don't pass --seed alongside it"),
+            (["--resume", "{J}", "--seed", "0"],
+             "--resume continues {J}'s own run; don't pass --seed alongside it"),
+            (["--resume", "{J}", "--ecosystem", "android"],
+             "--resume continues {J}'s own run; don't pass --ecosystem alongside it"),
+            (["--resume", "{J}", "--out", "{D}"],
+             "--out applies to experiment runs, not --scale"),
+            (["R1", "--wal", "{W}"], "--wal requires --scale"),
+            (["R1", "--shard-size", "3"], "--shard-size requires --scale"),
+            (["--scale", "10", "R1"],
+             "an experiment id applies to experiment runs, not --scale"),
+            (["--scale", "10", "--ecosystem", "all", "--wal", "{W}"],
+             "run aborted — unknown ecosystem 'all'; known: web-services, "
+             "android, npm-deps, iac"),
+        ],
+        ids=[
+            "journal-seed", "manifest-seed", "journal-seed-0",
+            "journal-ecosystem", "journal-out", "wal-without-scale",
+            "shard-size-without-scale", "scale-with-ids", "ecosystem-all",
+        ],
+    )
+    def test_rejection_is_one_line_and_writes_nothing(
+        self, tmp_path, argv, message
+    ):
+        journal, manifest = tmp_path / "j.wal", tmp_path / "run.json"
+        _write_journal(journal)
+        _write_run_manifest(manifest)
+        before = sorted(
+            (path.name, path.read_bytes()) for path in tmp_path.iterdir()
+        )
+        paths = {
+            "J": journal, "M": manifest, "D": tmp_path / "d",
+            "W": tmp_path / "w.wal",
+        }
+        proc = run_cli(
+            "run", *(arg.format(**paths) for arg in argv), "--quiet"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == message.format(**paths) + "\n"
+        after = sorted(
+            (path.name, path.read_bytes()) for path in tmp_path.iterdir()
+        )
+        assert after == before
+
+    def test_resume_runs_the_journal_s_own_seed(self, tmp_path, capsys):
+        wal, manifest = tmp_path / "run.wal", tmp_path / "resumed.json"
+        assert main(
+            ["run", "--scale", "60", "--shard-size", "30", "--seed", "5",
+             "--quiet", "--keep-going", "--inject-fault", "S1",
+             "--wal", str(wal)]
+        ) == 1
+        assert main(
+            ["run", "--resume", str(wal), "--quiet",
+             "--manifest", str(manifest)]
+        ) == 0
+        capsys.readouterr()
+        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        assert payload["seed"] == 5
+        assert payload["extra"]["resume"] == {"carried": [0], "source": "wal"}
+
+
+class TestBadFiles:
+    """A file the CLI cannot read, or a path it cannot write, is one line."""
+
+    @staticmethod
+    def _one_line(argv, prefix, path):
+        before = path.read_bytes() if path.is_file() else None
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = excinfo.value.code
+        assert isinstance(message, str), message  # exits 1
+        assert message.startswith(prefix), message
+        assert "\n" not in message
+        assert str(path) in message
+        assert (path.read_bytes() if path.is_file() else None) == before
+
+    @pytest.mark.parametrize(
+        "content",
+        ["{", "", None, "[1, 2]", '{"schema": "repro/run-manifest@2"}'],
+        ids=["brace", "empty", "directory", "list", "missing-keys"],
+    )
+    def test_run_resume_of_a_malformed_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content, encoding="utf-8")
+        self._one_line(
+            ["run", "--resume", str(path), "--quiet"], "run aborted — ", path
+        )
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["R1", "--manifest", "{tmp}/nodir/m.json"], "nodir/m.json"),
+            (["--scale", "20", "--trace", "{tmp}/nodir/t.json"], "nodir/t.json"),
+            (["R1", "--out", "{tmp}/afile"], "afile"),
+        ],
+        ids=["manifest", "trace", "out-is-a-file"],
+    )
+    def test_run_output_to_an_unwritable_path(
+        self, tmp_path, capsys, argv, target
+    ):
+        (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        self._one_line(
+            ["run", *argv, "--quiet"],
+            f"run aborted — cannot write {tmp_path / target}: ",
+            tmp_path / target,
+        )
+
+    @pytest.mark.parametrize(
+        "content",
+        ["{", None, '{"schema": "x"}', "[1, 2]"],
+        ids=["brace", "directory", "wrong-schema", "list"],
+    )
+    def test_stats_of_a_malformed_file(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content, encoding="utf-8")
+        self._one_line(["stats", str(path)], "stats aborted — ", path)
+
+    def test_serve_state_dir_that_is_a_file(self, tmp_path):
+        path = tmp_path / "afile"
+        path.write_text("keep\n", encoding="utf-8")
+        self._one_line(
+            ["serve", "--state-dir", str(path), "--port", "0"],
+            f"serve aborted — cannot write {path}: ",
+            path,
+        )

@@ -297,6 +297,46 @@ class TestCheckerItself:
         )
         assert check_docs.check_file(page, cli_flags=CLI_FLAGS) == []
 
+    def test_documented_command_the_cli_rejects_is_reported(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "```bash\npython -m repro run --scale 10 --out d\n```\n",
+            encoding="utf-8",
+        )
+        problems = check_docs.check_file(page, cli_flags=CLI_FLAGS)
+        assert [(p.line, p.message) for p in problems] == [
+            (
+                2,
+                "documented command fails: --out applies to experiment "
+                "runs, not --scale",
+            )
+        ]
+
+    def test_documented_journal_resume_passes(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "```bash\n"
+            "python -m repro run --resume run.wal --manifest m.json\n"
+            "```\n",
+            encoding="utf-8",
+        )
+        assert check_docs.check_file(page, cli_flags=CLI_FLAGS) == []
+
+    def test_documented_command_continuations_and_comments(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "```bash\n"
+            "python -m repro run all --jobs 4 \\\n"
+            "    --wal run.wal  # journals are for --scale runs\n"
+            "python -m repro serve --state-dir /tmp/svc &\n"
+            "```\n",
+            encoding="utf-8",
+        )
+        problems = check_docs.check_file(page, cli_flags=CLI_FLAGS)
+        assert [(p.line, p.message) for p in problems] == [
+            (2, "documented command fails: --wal requires --scale")
+        ]
+
     def test_known_flags_cover_run_and_scale_surface(self):
         assert {
             "--jobs", "--seed", "--executor", "--keep-going", "--retries",

@@ -8,11 +8,17 @@ this over ``docs/*.md`` and ``README.md`` on every test run, and the docs
 CI job calls it directly — so the observability and architecture pages
 cannot rot the way the pre-engine README quickstart did.
 
-Three drift checks go beyond the markdown itself:
+Four drift checks go beyond the markdown itself:
 
 - every ``--flag`` a doc mentions must actually exist on the ``repro``
   CLI (lines invoking other tools — pytest, pip, git — are exempt), so a
   renamed flag cannot survive in prose or diagrams;
+- every documented command — a line of a fenced shell block that starts
+  with ``python -m repro`` — must parse with ``repro.cli.build_parser``,
+  and a ``run`` line must pass the rail table
+  (:func:`repro.cli.check_run_flags`, taking ``--resume FILE`` as a
+  journal when FILE ends in ``.wal``), so an example the CLI would
+  reject fails here with the CLI's own message;
 - every public function, class, and method under ``src/repro/`` must
   carry a docstring, so the API surface the docs describe stays
   self-describing;
@@ -34,8 +40,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import doctest
+import io
 import re
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -200,6 +209,65 @@ def _check_cli_flags(
     return problems
 
 
+_SHELL_LANGS = frozenset({"bash", "sh", "shell", "console"})
+_COMMAND = "python -m repro "
+
+
+def _documented_commands(text: str) -> list[tuple[int, list[str]]]:
+    """``(line, argv)`` for every ``python -m repro`` line of a shell block.
+
+    ``\\`` continuations are joined, and a trailing ``#`` comment and
+    ``&`` dropped; ``argv`` is what follows ``python -m repro``.
+    """
+    commands = []
+    for start, lang, body, _ in extract_fenced_blocks(text):
+        if lang not in _SHELL_LANGS:
+            continue
+        lines = body.splitlines()
+        index = 0
+        while index < len(lines):
+            line, offset = lines[index], index
+            while line.endswith("\\") and index + 1 < len(lines):
+                index += 1
+                line = line[:-1] + lines[index]
+            index += 1
+            if not line.startswith(_COMMAND):
+                continue
+            argv = shlex.split(line[len(_COMMAND):], comments=True)
+            if argv[-1:] == ["&"]:
+                argv.pop()
+            commands.append((start + offset, argv))
+    return commands
+
+
+def _check_commands(path: Path, text: str) -> list[DocProblem]:
+    """Every documented command must parse and pass the ``run`` rail table."""
+    from repro.cli import build_parser, check_run_flags
+
+    parser = build_parser()
+    problems = []
+    for line, argv in _documented_commands(text):
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                args = parser.parse_args(argv)
+            if args.command == "run" and not args.list_ecosystems:
+                if args.resume is not None:
+                    sharded = args.resume.suffix == ".wal"
+                else:
+                    sharded = args.scale is not None
+                check_run_flags(args, sharded)
+        except SystemExit as error:
+            lines = stderr.getvalue().strip().splitlines()
+            message = lines[-1] if lines else str(error.code)
+            problems.append(
+                DocProblem(
+                    path, line, f"documented command fails: {message}"
+                )
+            )
+    return problems
+
+
 def _public_defs(body, prefix=""):
     """``(node, qualified_name)`` for every public def/class, recursively."""
     for node in body:
@@ -305,12 +373,14 @@ def check_bench_tables(root: Path) -> list[DocProblem]:
 def check_file(
     path: Path, cli_flags: frozenset[str] | None = None
 ) -> list[DocProblem]:
-    """Every problem in one markdown file (examples, links, flag drift)."""
+    """Every problem in one markdown file (examples, links, flag drift,
+    documented commands)."""
     text = path.read_text(encoding="utf-8")
     problems = _check_links(path, text)
     if cli_flags is None:
         cli_flags = known_cli_flags()
     problems.extend(_check_cli_flags(path, text, cli_flags))
+    problems.extend(_check_commands(path, text))
     for line, lang, body, skipped in extract_fenced_blocks(text):
         if lang != "python" or skipped:
             continue
@@ -347,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"docs ok: {len(args)} file(s) checked, "
         "public API fully docstringed, no CLI-flag drift, "
-        "bench tables fresh"
+        "documented commands parse, bench tables fresh"
     )
     return 0
 
